@@ -14,8 +14,8 @@
 //       against a from-scratch static oracle; the row errors on mismatch.
 //
 // The third Args slot is the facade's rebuild_threads knob: 1 pins the
-// serial baseline, 0 resolves via WECC_REBUILD_THREADS / the pool size
-// (hardware concurrency on the CI runners), so one binary run emits both
+// serial baseline, 0 resolves to the pool size (hardware concurrency on
+// the CI runners), so one binary run emits both
 // sides of the cliff. Published labels are identical either way — the
 // sharded passes are deterministic — which `verified` re-checks per row.
 //

@@ -35,6 +35,7 @@
 //   truth in biconn_oracle_test.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -44,7 +45,6 @@
 #include "biconn/bc_labeling.hpp"
 #include "decomp/clusters_graph.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/shard.hpp"
 #include "primitives/blocked_lca.hpp"
 #include "primitives/small_biconn.hpp"
 
@@ -277,10 +277,11 @@ class BiconnectivityOracle {
 
   /// Run fn(ci) over clusters on `threads` workers (<= 1: sequential).
   /// fn writes only slots owned by ci, keeping the result independent of
-  /// the thread count; exceptions propagate to the caller (shard.hpp).
+  /// the thread count; exceptions propagate to the caller (blocked_for).
   template <typename F>
   void over_clusters(std::size_t threads, F&& fn) const {
-    wecc::parallel::sharded_for(nc_, threads, fn);
+    wecc::parallel::parallel_for(0, nc_, fn, 1,
+                                 std::max<std::size_t>(threads, 1));
   }
 
   // ---- local views ----

@@ -113,7 +113,7 @@ void BiconnectivityOracle<G>::run_construction(const BiconnOracleOptions& opt,
           std::count(rc->dirty.begin(), rc->dirty.end(), std::uint8_t(1)));
     }
     stats->threads = threads;
-    stats->shards = wecc::parallel::shard_count(nc_, threads);
+    stats->shards = wecc::parallel::block_count(nc_, 1, threads);
   }
 }
 

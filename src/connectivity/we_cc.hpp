@@ -46,30 +46,26 @@ ForestResult we_connectivity(const G& g, const WeCcOptions& opt) {
   // two directions; parallel edges between parts are kept — harmless).
   amem::asym_array<ContractedEdge> cross;
   {
-    const std::size_t nb = std::max<std::size_t>(
-        1, std::min<std::size_t>(parallel::num_threads() * 4, n / 512));
-    std::vector<std::vector<ContractedEdge>> buf(nb);
-    const std::size_t block = (n + nb - 1) / nb;
-    parallel::detail::run_tasks(nb, [&](std::size_t b) {
-      amem::SymScratch scratch(0);
-      const std::size_t lo = b * block, hi = std::min(n, lo + block);
-      for (std::size_t uu = lo; uu < hi; ++uu) {
-        const auto u = vertex_id(uu);
-        const vertex_id cu = dec.cluster.read(u);
-        g.for_neighbors(u, [&](vertex_id w) {
-          if (w <= u) return;
-          const vertex_id cw = dec.cluster.read(w);
-          if (cw != cu) {
-            buf[b].push_back({cu, cw, u, w});
-            scratch.grow(4);
+    const auto buf = parallel::gather_blocks<ContractedEdge>(
+        0, n, 512, [&](std::size_t lo, std::size_t hi, auto& local) {
+          amem::SymScratch scratch(0);
+          for (std::size_t uu = lo; uu < hi; ++uu) {
+            const auto u = vertex_id(uu);
+            const vertex_id cu = dec.cluster.read(u);
+            g.for_neighbors(u, [&](vertex_id w) {
+              if (w <= u) return;
+              const vertex_id cw = dec.cluster.read(w);
+              if (cw != cu) {
+                local.push_back({cu, cw, u, w});
+                scratch.grow(4);
+              }
+            });
           }
         });
-      }
-    });
     std::size_t total = 0;
-    for (auto& bb : buf) total += bb.size();
+    for (const auto& bb : buf) total += bb.size();
     cross.reserve(total);
-    for (auto& bb : buf) {
+    for (const auto& bb : buf) {
       for (const auto& e : bb) cross.push_back(e);  // counted writes
     }
   }

@@ -390,25 +390,20 @@ ImplicitDecomposition<G> ImplicitDecomposition<G>::build(
 
   // Unsampled components of size >= k: promote the component minimum.
   // Two-phase (scan then insert) keeps the pass deterministic in parallel.
-  std::vector<std::vector<vertex_id>> promote(parallel::num_threads() * 4);
-  {
-    const std::size_t nb = promote.size();
-    const std::size_t block = (n + nb - 1) / nb;
-    parallel::detail::run_tasks(nb, [&](std::size_t b) {
-      const std::size_t lo = b * block, hi = std::min(n, lo + block);
-      for (std::size_t vv = lo; vv < hi; ++vv) {
-        const auto v = vertex_id(vv);
-        Search s = d.lex_bfs(
-            v, [&](vertex_id u) { return d.set_.is_primary(u); });
-        if (s.hit()) continue;
-        if (s.order.size() < opt.k) continue;  // implicit virtual center
-        vertex_id mn = v;
-        for (vertex_id u : s.order) mn = std::min(mn, u);
-        if (mn == v) promote[b].push_back(v);
-      }
-    });
-  }
-  for (auto& vec : promote) {
+  const auto promote = parallel::gather_blocks<vertex_id>(
+      0, n, 1, [&](std::size_t lo, std::size_t hi, auto& local) {
+        for (std::size_t vv = lo; vv < hi; ++vv) {
+          const auto v = vertex_id(vv);
+          Search s = d.lex_bfs(
+              v, [&](vertex_id u) { return d.set_.is_primary(u); });
+          if (s.hit()) continue;
+          if (s.order.size() < opt.k) continue;  // implicit virtual center
+          vertex_id mn = v;
+          for (vertex_id u : s.order) mn = std::min(mn, u);
+          if (mn == v) local.push_back(v);
+        }
+      });
+  for (const auto& vec : promote) {
     for (vertex_id v : vec) d.set_.insert(v, true);
   }
 
@@ -419,16 +414,12 @@ ImplicitDecomposition<G> ImplicitDecomposition<G>::build(
   for (vertex_id v : d.set_.to_sorted_vector()) {
     if (d.set_.is_primary(v)) primaries.push_back(v);
   }
-  const std::size_t np = primaries.size();
-  const std::size_t nb = std::min<std::size_t>(
-      parallel::num_threads() * 4, std::max<std::size_t>(1, np));
-  const std::size_t block = (np + nb - 1) / nb;
-  parallel::detail::run_tasks(nb, [&](std::size_t b) {
-    const std::size_t lo = b * block, hi = std::min(np, lo + block);
-    for (std::size_t i = lo; i < hi; ++i) {
-      d.secondary_centers(primaries[i], opt.parallel_children);
-    }
-  });
+  parallel::parallel_for(
+      0, primaries.size(),
+      [&](std::size_t i) {
+        d.secondary_centers(primaries[i], opt.parallel_children);
+      },
+      1);
 
   // Materialize the sorted center list (O(n/k) counted writes).
   d.center_list_ = d.set_.to_sorted_vector();

@@ -91,8 +91,7 @@ struct DynamicBiconnOptions {
   /// loaded snapshot's epoch so replayed WAL records line up; 0 otherwise.
   std::uint64_t first_epoch = 0;
   /// Worker count for the rebuild paths (selective rebuild, compaction,
-  /// initial build). 0 = auto: the WECC_REBUILD_THREADS environment
-  /// override when set, else the global pool size — see
+  /// initial build). 0 = auto: the global pool size — see
   /// RebuildPlanner::resolve_threads. Any value yields identical published
   /// state (the oracle's construction passes are deterministic under
   /// sharding).
@@ -662,7 +661,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     auto oracle = biconn::BiconnectivityOracle<OverlayGraph>::
         from_decomposition(std::move(normalized), bopt);
     report.rebuild_threads = bopt.threads;
-    report.rebuild_shards = parallel::shard_count(nc, bopt.threads);
+    report.rebuild_shards = parallel::block_count(nc, 1, bopt.threads);
     auto state = std::make_shared<VersionedBiconnOracle>(std::move(frozen),
                                                          std::move(oracle));
     return Staged{std::move(base), std::move(working), std::move(state),

@@ -52,9 +52,8 @@ struct DynamicOptions {
   std::uint64_t first_epoch = 0;
   /// Worker count for the selective rebuild's sharded passes (the
   /// per-cluster boundary prefill feeding the relabel BFS). 0 = auto: the
-  /// WECC_REBUILD_THREADS environment override when set, else the global
-  /// pool size — see RebuildPlanner::resolve_threads. Any value yields
-  /// identical published labels.
+  /// global pool size — see RebuildPlanner::resolve_threads. Any value
+  /// yields identical published labels.
   std::size_t rebuild_threads = 0;
 };
 
@@ -167,15 +166,18 @@ class DynamicConnectivity final : public FacadeCore<ConnectivityPolicy> {
         RebuildPlanner::plan(dirty, nc, opt_.rebuild_threads);
     std::vector<std::vector<graph::vertex_id>> nbr_cache(nc);
     std::vector<std::uint8_t> nbr_cached(nc, 0);
-    parallel::sharded_for(nc, plan.threads, [&](std::size_t ci) {
-      if (!dirty.label_dirty(old.cc().label.read(ci))) return;
-      cg.for_boundary_edges(
-          graph::vertex_id(ci),
-          [&](graph::vertex_id cj, graph::vertex_id, graph::vertex_id) {
-            nbr_cache[ci].push_back(cj);
-          });
-      nbr_cached[ci] = 1;
-    });
+    parallel::parallel_for(
+        0, nc,
+        [&](std::size_t ci) {
+          if (!dirty.label_dirty(old.cc().label.read(ci))) return;
+          cg.for_boundary_edges(
+              graph::vertex_id(ci),
+              [&](graph::vertex_id cj, graph::vertex_id, graph::vertex_id) {
+                nbr_cache[ci].push_back(cj);
+              });
+          nbr_cached[ci] = 1;
+        },
+        1, plan.threads);
     // Live fallback for clusters the prefill skipped: the unrestricted
     // BFS may step outside the dirty-label set if the dirty invariant
     // were ever violated, and correctness must not depend on it.

@@ -1,5 +1,5 @@
 // RebuildPlanner: policy layer between the dynamic facades and the sharded
-// rebuild execution in parallel/shard.hpp.
+// rebuild execution (parallel::parallel_for with a worker cap).
 //
 // A selective rebuild has one tunable — how many workers run its
 // per-cluster passes — and two derived execution facts the update report
@@ -10,9 +10,8 @@
 //
 //   1. an explicit per-facade option (DynamicOptions::rebuild_threads /
 //      DynamicBiconnOptions::rebuild_threads >= 1) wins;
-//   2. otherwise the WECC_REBUILD_THREADS environment override (the CI
-//      rebuild-bench leg's knob), when >= 1;
-//   3. otherwise the global pool size (parallel::num_threads()).
+//   2. otherwise the global pool size (parallel::num_threads(), set by
+//      WECC_THREADS).
 //
 // Sharding model: the shard unit is the *cluster* (center index) — the
 // granularity DirtyTracker records and the oracle's construction passes
@@ -24,10 +23,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdlib>
 
 #include "dynamic/dirty_tracker.hpp"
-#include "parallel/shard.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace wecc::dynamic {
 
@@ -42,14 +40,9 @@ struct RebuildPlan {
 class RebuildPlanner {
  public:
   /// Resolve the worker count for a rebuild: explicit option, then the
-  /// WECC_REBUILD_THREADS environment override, then the pool size.
+  /// pool size.
   [[nodiscard]] static std::size_t resolve_threads(std::size_t requested) {
-    if (requested >= 1) return requested;
-    if (const char* env = std::getenv("WECC_REBUILD_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) return std::size_t(v);
-    }
-    return parallel::num_threads();
+    return requested >= 1 ? requested : parallel::num_threads();
   }
 
   /// Plan a rebuild whose sharded passes iterate `work_items` units
@@ -59,7 +52,7 @@ class RebuildPlanner {
                                         std::size_t requested_threads) {
     RebuildPlan p;
     p.threads = resolve_threads(requested_threads);
-    p.shards = parallel::shard_count(work_items, p.threads);
+    p.shards = parallel::block_count(work_items, 1, p.threads);
     p.dirty_clusters = dirty.num_clusters();
     return p;
   }

@@ -71,27 +71,22 @@ LddResult decompose(const G& g, double beta, std::uint64_t seed,
     }
     // Advance all live BFS's one level. Candidates gather in scratch;
     // commit claims once per vertex (min-claimer wins: deterministic).
-    const std::size_t nb = std::min<std::size_t>(
-        parallel::num_threads() * 4,
-        std::max<std::size_t>(1, frontier.size() / 64));
-    std::vector<std::vector<std::pair<vertex_id, vertex_id>>> cand(nb);
-    const std::size_t block = (frontier.size() + nb - 1) / nb;
-    parallel::detail::run_tasks(nb, [&](std::size_t b) {
-      amem::SymScratch scratch(0);
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(frontier.size(), lo + block);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const vertex_id u = frontier[i];
-        g.for_neighbors(u, [&](vertex_id w) {
-          if (r.cluster.read(w) == kNoVertex) {
-            cand[b].push_back({w, u});
-            scratch.grow(2);
+    const auto cand = parallel::gather_blocks<std::pair<vertex_id, vertex_id>>(
+        0, frontier.size(), 64,
+        [&](std::size_t lo, std::size_t hi, auto& local) {
+          amem::SymScratch scratch(0);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const vertex_id u = frontier[i];
+            g.for_neighbors(u, [&](vertex_id w) {
+              if (r.cluster.read(w) == kNoVertex) {
+                local.push_back({w, u});
+                scratch.grow(2);
+              }
+            });
           }
         });
-      }
-    });
     std::vector<std::pair<vertex_id, vertex_id>> all;
-    for (auto& c : cand) all.insert(all.end(), c.begin(), c.end());
+    for (const auto& c : cand) all.insert(all.end(), c.begin(), c.end());
     std::sort(all.begin(), all.end());
     next.clear();
     for (std::size_t i = 0; i < all.size(); ++i) {

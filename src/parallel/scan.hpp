@@ -1,4 +1,4 @@
-// Prefix sums and the write-efficient filter (pack) of Ben-David et al. [9].
+// The write-efficient filter (pack) of Ben-David et al. [9].
 //
 // `filter` is the primitive Theorem 4.2 leans on: compacting the k cross-
 // subset edges out of m candidates with O(k) asymmetric writes (plus O(m)
@@ -8,28 +8,14 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "amem/asym_array.hpp"
 #include "amem/counters.hpp"
 #include "amem/sym_scratch.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace wecc::parallel {
-
-/// Exclusive prefix sum of `vals` (in place); returns the total.
-/// Two-pass blocked scan; O(n) reads and O(n) writes (the output itself).
-template <typename T>
-T exclusive_scan(std::vector<T>& vals) {
-  T total{};
-  for (auto& v : vals) {
-    const T cur = v;
-    v = total;
-    total += cur;
-  }
-  return total;
-}
 
 /// Write-efficient filter: appends {i in [begin,end) : pred(i) } images
 /// `out_of(i)` to `out`. Charges one read per candidate (for inspecting it)
@@ -39,28 +25,18 @@ T exclusive_scan(std::vector<T>& vals) {
 template <typename T, typename Pred, typename OutOf>
 void filter(std::size_t begin, std::size_t end, Pred&& pred, OutOf&& out_of,
             wecc::amem::asym_array<T>& out) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t nt = num_threads();
-  const std::size_t nblocks = (nt == 1 || n < 4096) ? 1 : nt * 4;
-  const std::size_t block = (n + nblocks - 1) / nblocks;
-
-  std::vector<std::vector<T>> buf(nblocks);
-  const std::function<void(std::size_t)> task = [&](std::size_t b) {
-    const std::size_t lo = begin + b * block;
-    const std::size_t hi = std::min(end, lo + block);
-    if (lo >= hi) return;
-    wecc::amem::SymScratch scratch(0);
-    auto& local = buf[b];
-    for (std::size_t i = lo; i < hi; ++i) {
-      wecc::amem::count_read();
-      if (pred(i)) {
-        local.push_back(out_of(i));
-        scratch.grow(sizeof(T) / sizeof(std::size_t) + 1);
-      }
-    }
-  };
-  detail::run_tasks(nblocks, task);
+  const auto buf = gather_blocks<T>(
+      begin, end, kDefaultGrain,
+      [&](std::size_t lo, std::size_t hi, std::vector<T>& local) {
+        wecc::amem::SymScratch scratch(0);
+        for (std::size_t i = lo; i < hi; ++i) {
+          wecc::amem::count_read();
+          if (pred(i)) {
+            local.push_back(out_of(i));
+            scratch.grow(sizeof(T) / sizeof(std::size_t) + 1);
+          }
+        }
+      });
 
   std::size_t total = 0;
   for (const auto& b : buf) total += b.size();

@@ -22,9 +22,10 @@ void set_num_threads(std::size_t n);
 namespace detail {
 /// Run fn(t) for t in [0, ntasks) across the pool; blocks until all done.
 /// Tasks are claimed dynamically, so ntasks may exceed num_threads(); the
-/// surplus tasks run on whichever threads free up first. Exceptions are NOT
-/// caught — a throwing fn on a pool thread terminates the process; callers
-/// that need propagation wrap fn (see parallel/shard.hpp).
+/// surplus tasks run on whichever threads free up first. `fn` never throws:
+/// the only caller is blocked_for (parallel/parallel_for.hpp), which catches
+/// every block body's exception and rethrows the lowest-indexed one on the
+/// calling thread after the loop joins.
 void run_tasks(std::size_t ntasks, const std::function<void(std::size_t)>& fn);
 }  // namespace detail
 

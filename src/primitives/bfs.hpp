@@ -89,29 +89,24 @@ std::size_t parallel_bfs_tree(const G& g, vertex_id source,
 
   while (!frontier.empty()) {
     // Phase 1 (reads only): gather (child, parent) candidates per block.
-    const std::size_t nb =
-        std::min<std::size_t>(parallel::num_threads() * 4,
-                              std::max<std::size_t>(1, frontier.size() / 64));
-    std::vector<std::vector<std::pair<vertex_id, vertex_id>>> cand(nb);
-    const std::size_t block = (frontier.size() + nb - 1) / nb;
-    parallel::detail::run_tasks(nb, [&](std::size_t b) {
-      amem::SymScratch scratch(0);
-      const std::size_t lo = b * block;
-      const std::size_t hi = std::min(frontier.size(), lo + block);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const vertex_id u = frontier[i];
-        g.for_neighbors(u, [&](vertex_id w) {
-          if (claimed.read(w) == kNoVertex) {
-            cand[b].push_back({w, u});
-            scratch.grow(2);
+    const auto cand = parallel::gather_blocks<std::pair<vertex_id, vertex_id>>(
+        0, frontier.size(), 64,
+        [&](std::size_t lo, std::size_t hi, auto& local) {
+          amem::SymScratch scratch(0);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const vertex_id u = frontier[i];
+            g.for_neighbors(u, [&](vertex_id w) {
+              if (claimed.read(w) == kNoVertex) {
+                local.push_back({w, u});
+                scratch.grow(2);
+              }
+            });
           }
         });
-      }
-    });
     // Phase 2 (sequential commit): dedup, min parent wins, one write per
     // newly claimed vertex — the write-efficiency invariant.
     std::vector<std::pair<vertex_id, vertex_id>> all;
-    for (auto& c : cand) {
+    for (const auto& c : cand) {
       all.insert(all.end(), c.begin(), c.end());
     }
     std::sort(all.begin(), all.end());

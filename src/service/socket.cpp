@@ -121,8 +121,8 @@ Socket accept_on(Socket& listener) {
       return Socket(fd);
     }
     if (errno == EINTR) continue;
-    // EBADF / EINVAL: the listener was shut down or closed under us —
-    // the orderly stop signal, not an error.
+    // EINVAL: the listener was shut down (its owner closes it only after
+    // this loop returns) — the orderly stop signal, not an error.
     return Socket{};
   }
 }

@@ -1,10 +1,10 @@
 // Parallel selective-rebuild suite (docs/parallel_rebuild.md):
 //
-//  * shard.hpp unit coverage — shard_count shape, sharded_for completeness,
-//    order-independence and exception propagation (the property the dynamic
-//    facades' strong exception guarantee rides on);
-//  * RebuildPlanner thread resolution — explicit option beats the
-//    WECC_REBUILD_THREADS environment override beats the pool size;
+//  * the worker-capped parallel_for the rebuild passes run on — full
+//    coverage, order-independence and exception propagation (the property
+//    the dynamic facades' strong exception guarantee rides on);
+//  * RebuildPlanner thread resolution — explicit option beats the pool
+//    size;
 //  * the determinism contract — rebuild_threads in {1, 2, pool} publish
 //    identical labels, bridges and articulation sets across a batch
 //    sequence where every apply pays a selective rebuild, on both facades;
@@ -27,7 +27,7 @@
 #include "dynamic/rebuild_planner.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
-#include "parallel/shard.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace wecc {
@@ -51,58 +51,52 @@ std::chrono::milliseconds race_hunt_budget() {
 }
 
 // ---------------------------------------------------------------------------
-// shard.hpp
+// The worker-capped parallel_for (grain 1: one item per cluster)
 // ---------------------------------------------------------------------------
 
-TEST(Shard, ShardCountShape) {
-  EXPECT_EQ(parallel::shard_count(0, 8), 0u);
-  EXPECT_EQ(parallel::shard_count(1, 8), 1u);
-  EXPECT_EQ(parallel::shard_count(100, 0), 1u);
-  EXPECT_EQ(parallel::shard_count(100, 1), 1u);
-  EXPECT_EQ(parallel::shard_count(100, 2), 16u);  // 8 shards per worker
-  EXPECT_EQ(parallel::shard_count(5, 4), 5u);     // never more than items
-}
-
-TEST(Shard, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {0u, 1u, 2u, 4u, 7u}) {
+TEST(WorkerCappedFor, CoversEveryIndexExactlyOnce) {
+  for (const std::size_t workers : {0u, 1u, 2u, 4u, 7u}) {
     for (const std::size_t n : {0u, 1u, 3u, 64u, 1000u}) {
       std::vector<std::atomic<int>> hits(n);
-      parallel::sharded_for(n, threads, [&](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
+      parallel::parallel_for(
+          0, n,
+          [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+          },
+          1, workers);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads
+        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " workers=" << workers
                                      << " i=" << i;
       }
     }
   }
 }
 
-TEST(Shard, DisjointSlotsMakeResultsThreadCountIndependent) {
+TEST(WorkerCappedFor, DisjointSlotsMakeResultsThreadCountIndependent) {
   const std::size_t n = 500;
   std::vector<std::uint64_t> serial(n), parallel_out(n);
   const auto body = [](std::size_t i) {
     return std::uint64_t(i) * 2654435761u + 17;
   };
-  parallel::sharded_for(n, 1, [&](std::size_t i) { serial[i] = body(i); });
-  parallel::sharded_for(n, 4,
-                        [&](std::size_t i) { parallel_out[i] = body(i); });
+  parallel::parallel_for(
+      0, n, [&](std::size_t i) { serial[i] = body(i); }, 1, 1);
+  parallel::parallel_for(
+      0, n, [&](std::size_t i) { parallel_out[i] = body(i); }, 1, 4);
   EXPECT_EQ(serial, parallel_out);
 }
 
-TEST(Shard, ExceptionPropagatesToCaller) {
-  for (const std::size_t threads : {1u, 4u}) {
+TEST(WorkerCappedFor, ExceptionPropagatesToCaller) {
+  for (const std::size_t workers : {1u, 4u}) {
     std::atomic<int> ran{0};
-    EXPECT_THROW(
-        parallel::sharded_for(100, threads,
-                              [&](std::size_t i) {
-                                ran.fetch_add(1);
-                                if (i == 37) {
-                                  throw std::runtime_error("shard 37");
-                                }
-                              }),
-        std::runtime_error)
-        << "threads=" << threads;
+    EXPECT_THROW(parallel::parallel_for(
+                     0, 100,
+                     [&](std::size_t i) {
+                       ran.fetch_add(1);
+                       if (i == 37) throw std::runtime_error("shard 37");
+                     },
+                     1, workers),
+                 std::runtime_error)
+        << "workers=" << workers;
     EXPECT_GE(ran.load(), 1);
   }
 }
@@ -111,20 +105,9 @@ TEST(Shard, ExceptionPropagatesToCaller) {
 // RebuildPlanner
 // ---------------------------------------------------------------------------
 
-TEST(RebuildPlanner, ExplicitOptionWins) {
-  ::setenv("WECC_REBUILD_THREADS", "3", 1);
+TEST(RebuildPlanner, ExplicitOptionThenPoolSize) {
   EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(2), 2u);
   EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(1), 1u);
-  ::unsetenv("WECC_REBUILD_THREADS");
-}
-
-TEST(RebuildPlanner, EnvOverrideThenPoolSize) {
-  ::setenv("WECC_REBUILD_THREADS", "3", 1);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0), 3u);
-  ::setenv("WECC_REBUILD_THREADS", "garbage", 1);
-  EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0),
-            parallel::num_threads());
-  ::unsetenv("WECC_REBUILD_THREADS");
   EXPECT_EQ(dynamic::RebuildPlanner::resolve_threads(0),
             parallel::num_threads());
 }
@@ -135,7 +118,7 @@ TEST(RebuildPlanner, PlanEchoesTrackerAndShards) {
   dirty.mark_cluster(9);
   const dynamic::RebuildPlan p = dynamic::RebuildPlanner::plan(dirty, 40, 2);
   EXPECT_EQ(p.threads, 2u);
-  EXPECT_EQ(p.shards, parallel::shard_count(40, 2));
+  EXPECT_EQ(p.shards, parallel::block_count(40, 1, 2));
   EXPECT_EQ(p.dirty_clusters, 2u);
 }
 

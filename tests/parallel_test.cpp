@@ -1,8 +1,11 @@
-// Unit tests for the thread pool, parallel_for/reduce, scan, filter, rng.
+// Unit tests for the thread pool, blocked_for/parallel_for, filter, rng.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "amem/counters.hpp"
 #include "parallel/parallel_for.hpp"
@@ -49,31 +52,6 @@ TEST(ParallelFor, NestedCallsDegradeGracefully) {
   EXPECT_EQ(total.load(), 64 * 64);
 }
 
-TEST(ParallelReduce, MatchesSequentialSum) {
-  constexpr std::size_t n = 123457;
-  const auto sum = parallel::parallel_reduce<std::uint64_t>(
-      0, n, 0, [](std::size_t i) { return std::uint64_t(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, std::uint64_t(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, DeterministicForNonCommutativeFloatSum) {
-  constexpr std::size_t n = 50000;
-  const auto run = [&] {
-    return parallel::parallel_reduce<double>(
-        0, n, 0.0, [](std::size_t i) { return 1.0 / double(i + 1); },
-        [](double a, double b) { return a + b; });
-  };
-  EXPECT_EQ(run(), run());  // fixed block structure -> bitwise equal
-}
-
-TEST(ExclusiveScan, ComputesPrefixSumsInPlace) {
-  std::vector<int> v{3, 1, 4, 1, 5};
-  const int total = parallel::exclusive_scan(v);
-  EXPECT_EQ(total, 14);
-  EXPECT_EQ(v, (std::vector<int>{0, 3, 4, 8, 9}));
-}
-
 TEST(Filter, KeepsExactlyMatchingElementsInOrder) {
   amem::reset();
   amem::asym_array<int> out;
@@ -96,6 +74,145 @@ TEST(Filter, WritesProportionalToOutputNotInput) {
   const auto d = p.delta();
   EXPECT_EQ(d.writes, 5u);           // the write-efficiency invariant
   EXPECT_GE(d.reads, 100000u);       // one read per candidate
+}
+
+// ---------------------------------------------------------------------------
+// Exception propagation: a throwing body on a pool worker must reach the
+// caller, not terminate the process. Each case needs a real pool.
+// ---------------------------------------------------------------------------
+
+#define SKIP_WITHOUT_POOL()                                        \
+  if (parallel::num_threads() == 1) {                              \
+    GTEST_SKIP() << "needs a pool of >= 2 threads (WECC_THREADS)"; \
+  }
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename F>
+std::string thrown_message(F&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParallelFor, ExceptionReachesCaller) {
+  SKIP_WITHOUT_POOL();
+  // 10000 indices at grain 16 split into pool blocks; 16 fit one inline
+  // block.
+  for (const std::size_t n : {std::size_t{10000}, std::size_t{16}}) {
+    std::atomic<bool> thrown{false};
+    const auto run = [&] {
+      parallel::parallel_for(
+          0, n,
+          [&](std::size_t i) {
+            if (i == n - 1) {
+              thrown = true;
+              throw std::runtime_error("last index");
+            }
+            // On the pool, hold the first block (bounded) until the last
+            // one has thrown, so the throw happens on a thread other than
+            // the one running block 0 — usually the caller.
+            for (int ms = 0; i == 0 && n > 16 && !thrown && ms < 2000; ++ms) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+          },
+          16);
+    };
+    EXPECT_EQ(thrown_message(run), "last index") << "n=" << n;
+  }
+}
+
+TEST(Filter, ExceptionReachesCaller) {
+  SKIP_WITHOUT_POOL();
+  // 100000 candidates split into pool blocks; 100 fit one inline block.
+  for (const std::size_t n : {std::size_t{100000}, std::size_t{100}}) {
+    amem::asym_array<int> out;
+    const auto run = [&] {
+      parallel::filter<int>(
+          0, n,
+          [&](std::size_t i) {
+            if (i == n / 2) throw std::runtime_error("candidate");
+            return i % 3 == 0;
+          },
+          [](std::size_t i) { return int(i); }, out);
+    };
+    EXPECT_EQ(thrown_message(run), "candidate") << "n=" << n;
+    EXPECT_EQ(out.size(), 0u);  // nothing merged past a failed block
+  }
+}
+
+TEST(WorkerCappedFor, ExceptionReachesCaller) {
+  SKIP_WITHOUT_POOL();
+  for (const std::size_t workers :
+       {parallel::num_threads(), std::size_t{2}, std::size_t{1}}) {
+    std::atomic<int> ran{0};
+    const auto run = [&] {
+      parallel::parallel_for(
+          0, 100,
+          [&](std::size_t i) {
+            ran.fetch_add(1);
+            if (i == 37) throw std::runtime_error("cluster 37");
+          },
+          1, workers);
+    };
+    EXPECT_EQ(thrown_message(run), "cluster 37") << "workers=" << workers;
+    EXPECT_GE(ran.load(), 1);
+  }
+}
+
+TEST(BlockedFor, EveryBlockRunsAndTheLowestFailedBlockWins) {
+  SKIP_WITHOUT_POOL();
+  const std::size_t nblocks = parallel::block_count(1000, 1);
+  ASSERT_GE(nblocks, 4u);
+  // Repeat so the claim order (and so which failure is recorded first)
+  // varies between runs; the lower block must win every time.
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::atomic<int>> ran(nblocks);
+    const auto run = [&] {
+      parallel::blocked_for(
+          0, 1000, 1, [&](std::size_t b, std::size_t, std::size_t) {
+            ran[b].fetch_add(1);
+            if (b == 1) throw std::runtime_error("block 1");
+            if (b == nblocks - 1) throw std::runtime_error("last block");
+          });
+    };
+    ASSERT_EQ(thrown_message(run), "block 1") << "rep=" << rep;
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      ASSERT_EQ(ran[b].load(), 1) << "block " << b << " rep=" << rep;
+    }
+  }
+}
+
+TEST(BlockedFor, BlocksTileTheRangeInOrder) {
+  for (const std::size_t n : {1u, 7u, 64u, 1000u, 100003u}) {
+    std::vector<std::pair<std::size_t, std::size_t>> ranges(
+        parallel::block_count(n, 16));
+    parallel::blocked_for(10, 10 + n, 16,
+                          [&](std::size_t b, std::size_t lo, std::size_t hi) {
+                            ranges[b] = {lo, hi};
+                          });
+    std::size_t expect_lo = 10;
+    for (const auto& [lo, hi] : ranges) {
+      EXPECT_EQ(lo, expect_lo) << "n=" << n;
+      EXPECT_LT(lo, hi) << "n=" << n;  // no empty blocks
+      expect_lo = hi;
+    }
+    EXPECT_EQ(expect_lo, 10 + n) << "n=" << n;
+  }
+}
+
+TEST(BlockCount, OneRuleForEveryLoop) {
+  EXPECT_EQ(parallel::block_count(0, 1, 8), 0u);
+  EXPECT_EQ(parallel::block_count(1, 1, 8), 1u);
+  EXPECT_EQ(parallel::block_count(100, 1, 1), 1u);    // one worker: inline
+  EXPECT_EQ(parallel::block_count(100, 1, 2), 16u);   // 8 blocks per worker
+  EXPECT_EQ(parallel::block_count(5, 1, 4), 5u);      // never more than items
+  EXPECT_EQ(parallel::block_count(64, 16, 4), 4u);    // a 64-query vector
+  EXPECT_EQ(parallel::block_count(64, 64, 4), 1u);    // at grain 64: inline
+  EXPECT_EQ(parallel::block_count(65, 64, 4), 2u);
+  EXPECT_EQ(parallel::block_count(10, 0, 4), 10u);    // grain 0 acts as 1
 }
 
 TEST(Rng, DeterministicStreams) {

@@ -47,7 +47,6 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/rng.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/shard.hpp"
 #include "parallel/thread_pool.hpp"
 #include "persist/crc32.hpp"
 #include "persist/derived.hpp"
@@ -61,7 +60,6 @@
 #include "primitives/blocked_lca.hpp"
 #include "primitives/euler_tour.hpp"
 #include "primitives/lca.hpp"
-#include "primitives/list_ranking.hpp"
 #include "primitives/small_biconn.hpp"
 #include "primitives/union_find.hpp"
 #include "service/api.hpp"
