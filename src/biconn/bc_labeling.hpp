@@ -151,11 +151,6 @@ class BcLabeling {
   [[nodiscard]] const std::vector<std::uint32_t>& high() const noexcept {
     return high_;
   }
-  /// Component size of l(v)'s vertex set (bridges: singleton components).
-  [[nodiscard]] std::uint32_t comp_size(std::uint32_t c) const {
-    amem::count_read();
-    return comp_size_[c];
-  }
 
  private:
   [[nodiscard]] graph::vertex_id root_of(graph::vertex_id v) const {

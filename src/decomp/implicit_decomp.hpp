@@ -163,11 +163,6 @@ class ImplicitDecomposition {
   Search lex_bfs(graph::vertex_id v, Stop&& stop,
                  std::size_t budget = ~std::size_t{0}) const;
 
-  /// rho(u) == s test used by cluster searches (avoids re-deriving paths).
-  [[nodiscard]] bool rho_is(graph::vertex_id u, graph::vertex_id s) const {
-    return rho(u).center == s;
-  }
-
   /// Algorithm 1's SECONDARYCENTERS, iterative work-list form.
   void secondary_centers(graph::vertex_id v, bool parallel_children);
 

@@ -62,9 +62,6 @@ class BiconnPatch {
     amem::count_read();
     return bridges_.count(edge_key(u, v)) != 0;
   }
-  [[nodiscard]] std::size_t num_bridges() const noexcept {
-    return bridges_.size();
-  }
 
   /// Promote v to an articulation point (a patched bridge promotion; block
   /// merges supersede this set inside merged components, where articulation
@@ -517,6 +514,11 @@ class BiconnSnapshot
                           BiconnPatch> {
  public:
   using SnapshotBase::SnapshotBase;
+
+  /// Answers every MixedQuery kind.
+  [[nodiscard]] static constexpr bool supports(MixedQuery::Kind) noexcept {
+    return true;
+  }
 
   [[nodiscard]] BiconnPatchView view() const {
     return BiconnPatchView(*state_, patch_);

@@ -58,10 +58,6 @@ class OverlayGraph {
   }
 
   [[nodiscard]] const graph::Graph& base() const noexcept { return *base_; }
-  [[nodiscard]] const std::shared_ptr<const graph::Graph>& base_ptr()
-      const noexcept {
-    return base_;
-  }
 
   /// Arcs added plus arcs deleted relative to the base — the quantity the
   /// compaction policy bounds.

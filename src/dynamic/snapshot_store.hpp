@@ -27,6 +27,7 @@
 
 #include "connectivity/cc_oracle.hpp"
 #include "dynamic/overlay_graph.hpp"
+#include "dynamic/query.hpp"
 
 namespace wecc::dynamic {
 
@@ -138,6 +139,11 @@ class Snapshot
                           LabelPatch> {
  public:
   using SnapshotBase::SnapshotBase;
+
+  /// The connectivity surface answers only kConnected.
+  [[nodiscard]] static constexpr bool supports(MixedQuery::Kind k) noexcept {
+    return k == MixedQuery::Kind::kConnected;
+  }
 
   /// Canonical component label of v at this epoch.
   [[nodiscard]] graph::vertex_id component_of(graph::vertex_id v) const {

@@ -72,16 +72,6 @@ class Graph {
     for (edge_id i = b; i < e; ++i) fn(adj_[i]);
   }
 
-  /// Neighbors with the position of each incident arc (for edge-indexed
-  /// algorithms); same read charge as for_neighbors.
-  template <typename F>
-  void for_arcs(vertex_id v, F&& fn) const {
-    assert(v < n_);
-    const edge_id b = offsets_[v], e = offsets_[v + 1];
-    amem::count_read(1 + (e - b));
-    for (edge_id i = b; i < e; ++i) fn(adj_[i], i);
-  }
-
   /// Uncounted adjacency span — ground-truth checkers and tests only.
   [[nodiscard]] std::span<const vertex_id> neighbors_raw(vertex_id v) const {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
@@ -92,11 +82,6 @@ class Graph {
 
   /// Maximum degree (uncounted; a structural property, not a traversal).
   [[nodiscard]] std::size_t max_degree() const noexcept;
-
-  /// True if max degree <= bound.
-  [[nodiscard]] bool is_bounded_degree(std::size_t bound) const noexcept {
-    return max_degree() <= bound;
-  }
 
   /// The distinct undirected edges in canonical (min,max) order with
   /// multiplicities expanded — used by generators/tests to round-trip.

@@ -39,15 +39,9 @@ class VGraph {
   explicit VGraph(const Graph& g, std::size_t leaf_width = 4);
 
   [[nodiscard]] std::size_t num_vertices() const noexcept { return total_; }
-  [[nodiscard]] std::size_t num_original() const noexcept { return n_; }
   [[nodiscard]] std::size_t leaf_width() const noexcept { return width_; }
   [[nodiscard]] std::size_t degree_bound() const noexcept {
     return width_ + 1;
-  }
-
-  /// True if x is an original vertex of G.
-  [[nodiscard]] bool is_original(vertex_id x) const noexcept {
-    return x < n_;
   }
 
   /// GraphView neighbor enumeration (charges reads for the CSR accesses and

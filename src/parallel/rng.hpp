@@ -42,12 +42,6 @@ inline double exponential(std::uint64_t seed, std::uint64_t i,
   return -std::log1p(-u) / beta;
 }
 
-/// Uniform integer in [0, bound) from (seed, i).
-inline std::uint64_t uniform_int(std::uint64_t seed, std::uint64_t i,
-                                 std::uint64_t bound) noexcept {
-  return bound == 0 ? 0 : hash2(seed, i) % bound;
-}
-
 /// Small stateful generator for generators/tests (xorshift128+).
 class Rng {
  public:

@@ -17,21 +17,31 @@ bool QueryView::is_bridge(graph::vertex_id u, graph::vertex_id v) const {
                             dynamic::edge_key(u, v));
 }
 
-bool QueryView::biconnected(graph::vertex_id u, graph::vertex_id v) const {
-  if (u == v) return true;
+std::uint64_t QueryView::edge_block_id(graph::vertex_id u,
+                                       graph::vertex_id v) const {
+  if (u == v) return 0;
+  const auto row = csr_adj.subspan(csr_offsets[u],
+                                   csr_offsets[u + 1] - csr_offsets[u]);
+  amem::count_read(2 + std::bit_width(row.size()));
+  if (!std::binary_search(row.begin(), row.end(), v)) return 0;
+  return common_block(u, v);
+}
+
+std::uint64_t QueryView::common_block(graph::vertex_id u,
+                                      graph::vertex_id v) const {
   amem::count_read(2);
   auto bu = block_offsets[u], bu_end = block_offsets[u + 1];
   auto bv = block_offsets[v], bv_end = block_offsets[v + 1];
   amem::count_read((bu_end - bu) + (bv_end - bv));
   while (bu < bu_end && bv < bv_end) {
-    if (block_ids[bu] == block_ids[bv]) return true;
+    if (block_ids[bu] == block_ids[bv]) return std::uint64_t{block_ids[bu]} + 1;
     if (block_ids[bu] < block_ids[bv]) {
       ++bu;
     } else {
       ++bv;
     }
   }
-  return false;
+  return 0;
 }
 
 graph::EdgeList QueryView::edge_list() const {

@@ -5,10 +5,10 @@
 //
 //  * QueryView — non-owning spans over the arrays plus the query logic:
 //    connected / component_of / biconnected / two_edge_connected /
-//    is_articulation / is_bridge, answered without touching the graph
-//    (connectivity & 2ec are label equality, articulation is a bitmap
-//    probe, bridges are a binary search, biconnectivity intersects the two
-//    endpoints' sorted block-id rows). The same struct reads straight out
+//    is_articulation / is_bridge / edge_block_id, answered without touching
+//    the graph (connectivity & 2ec are label equality, articulation is a
+//    bitmap probe, bridges and edges are binary searches, biconnectivity
+//    intersects the two endpoints' sorted block-id rows). The same struct reads straight out
 //    of an mmap'd snapshot — zero copies, zero allocation.
 //  * DerivedState — the owning form, computed from (n, edges) with the
 //    sequential ground-truth engines (DSU for connectivity-only,
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "amem/counters.hpp"
+#include "dynamic/query.hpp"
 #include "graph/graph.hpp"
 
 namespace wecc::persist {
@@ -45,6 +46,10 @@ struct QueryView {
   }
   [[nodiscard]] bool has_biconn() const noexcept {
     return !block_offsets.empty();
+  }
+  /// kConnected always; the biconnectivity kinds only with their sections.
+  [[nodiscard]] bool supports(dynamic::MixedQuery::Kind k) const noexcept {
+    return k == dynamic::MixedQuery::Kind::kConnected || has_biconn();
   }
 
   [[nodiscard]] std::uint32_t component_of(graph::vertex_id v) const {
@@ -69,7 +74,18 @@ struct QueryView {
   [[nodiscard]] bool is_bridge(graph::vertex_id u, graph::vertex_id v) const;
   /// Do u and v share a biconnected component? Sorted intersection of the
   /// endpoints' block-id rows: O(blocks(u) + blocks(v)) reads.
-  [[nodiscard]] bool biconnected(graph::vertex_id u, graph::vertex_id v) const;
+  [[nodiscard]] bool biconnected(graph::vertex_id u, graph::vertex_id v) const {
+    return u == v || common_block(u, v) != 0;
+  }
+  /// Block id + 1 of edge (u, v), 0 when absent or a self-loop: a binary
+  /// search of u's adjacency row, then the one block both endpoints share.
+  /// Like the live snapshot's ids, these name blocks within this epoch only.
+  [[nodiscard]] std::uint64_t edge_block_id(graph::vertex_id u,
+                                            graph::vertex_id v) const;
+  /// Block id + 1 of the block holding both u != v, else 0. Two distinct
+  /// vertices share at most one block.
+  [[nodiscard]] std::uint64_t common_block(graph::vertex_id u,
+                                           graph::vertex_id v) const;
 
   /// Reconstruct the canonical edge list (multiplicities expanded) from the
   /// CSR sections — what recovery feeds Graph::from_edges. Uncounted

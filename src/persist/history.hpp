@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "dynamic/batch_query.hpp"
+#include "dynamic/query.hpp"
 #include "dynamic/update_batch.hpp"
 #include "persist/derived.hpp"
 #include "persist/snapshot.hpp"
@@ -50,29 +50,6 @@ class HistoricView {
     // constructors) — a class invariant the optional checker cannot see.
     // NOLINTNEXTLINE(bugprone-unchecked-optional-access)
     return mapped_ ? mapped_->view() : derived_->view();
-  }
-
-  /// Dispatch one MixedQuery-shaped probe against this epoch.
-  [[nodiscard]] bool answer(dynamic::MixedQuery::Kind kind,
-                            graph::vertex_id u, graph::vertex_id v) const {
-    const QueryView& qv = view();
-    switch (kind) {
-      case dynamic::MixedQuery::Kind::kConnected:
-        return qv.connected(u, v);
-      case dynamic::MixedQuery::Kind::kBiconnected:
-        return qv.biconnected(u, v);
-      case dynamic::MixedQuery::Kind::kTwoEdgeConnected:
-        return qv.two_edge_connected(u, v);
-      case dynamic::MixedQuery::Kind::kArticulation:
-        return qv.is_articulation(u);
-      case dynamic::MixedQuery::Kind::kBridge:
-        return qv.is_bridge(u, v);
-      case dynamic::MixedQuery::Kind::kEdgeBcc:
-        // Historic views serve booleans only; block ids are epoch-internal
-        // names of the live snapshot, meaningless across reconstructions.
-        return false;
-    }
-    return false;
   }
 
  private:
@@ -104,11 +81,17 @@ class EpochHistory {
   [[nodiscard]] std::shared_ptr<const HistoricView> at(
       std::uint64_t epoch) const;
 
-  /// "Was this true at epoch e?" — one probe, any surface kind.
+  /// "Was this true at epoch e?" — one probe through the engine's
+  /// dispatch. Throws std::invalid_argument for a biconnectivity kind on a
+  /// connectivity-only history and std::out_of_range for an endpoint
+  /// outside [0, n) (kArticulation ignores v).
   [[nodiscard]] bool answer_at(dynamic::MixedQuery::Kind kind,
                                graph::vertex_id u, graph::vertex_id v,
                                std::uint64_t epoch) const {
-    return at(epoch)->answer(kind, u, v);
+    const dynamic::MixedQuery q{kind, u, v};
+    const std::shared_ptr<const HistoricView> view = at(epoch);
+    dynamic::check_queries(view->view(), std::span(&q, 1));
+    return dynamic::probe(view->view(), q) != 0;
   }
 
   /// Epoch diff: the bridges present at `e2` that were not bridges at

@@ -36,15 +36,6 @@ class UnionFind {
     }
   }
 
-  /// Read-only find (no path compression; used inside strict write budgets).
-  [[nodiscard]] graph::vertex_id find_ro(graph::vertex_id x) const {
-    while (true) {
-      const graph::vertex_id p = parent_.read(x);
-      if (p == x) return x;
-      x = p;
-    }
-  }
-
   /// Union the sets of a and b; smaller root id wins (deterministic).
   /// Returns true if a merge happened.
   bool unite(graph::vertex_id a, graph::vertex_id b) {

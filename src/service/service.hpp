@@ -2,9 +2,10 @@
 // over either batch-dynamic facade. Templating works because both facades
 // inherit one surface from FacadeCore: report_type/snapshot_type,
 // num_vertices/epoch/store, snapshot()/snapshot_at(), apply()/compact().
-// Queries pin a snapshot and run on the pool via the existing batch query
-// engines; updates go straight through the facade's serialized writer (and
-// through its durability hook, if one is attached).
+// Queries pin a snapshot and run on the pool through the one
+// BatchQueryEngine; the snapshot type's supports() says which kinds the
+// facade answers. Updates go straight through the facade's serialized
+// writer (and through its durability hook, if one is attached).
 #pragma once
 
 #include <cstdint>
@@ -22,43 +23,6 @@
 namespace wecc::service {
 
 namespace detail {
-
-/// Which query kinds a facade's snapshot can answer: the connectivity
-/// snapshot only kConnected, the biconnectivity snapshot all six
-/// (kEdgeBcc included — its block ids ride on QueryResponse::block_ids).
-[[nodiscard]] inline bool supports(const dynamic::Snapshot&,
-                                   dynamic::MixedQuery::Kind kind) noexcept {
-  return kind == dynamic::MixedQuery::Kind::kConnected;
-}
-[[nodiscard]] inline bool supports(const dynamic::BiconnSnapshot&,
-                                   dynamic::MixedQuery::Kind) noexcept {
-  return true;
-}
-
-inline std::vector<std::uint8_t> answer_all(
-    std::shared_ptr<const dynamic::Snapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
-  std::vector<dynamic::VertexPair> pairs;
-  pairs.reserve(queries.size());
-  for (const dynamic::MixedQuery& q : queries) pairs.push_back({q.u, q.v});
-  return dynamic::BatchQueryEngine(std::move(snap)).connected(pairs);
-}
-inline std::vector<std::uint8_t> answer_all(
-    std::shared_ptr<const dynamic::BiconnSnapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
-  return dynamic::BiconnBatchQueryEngine(std::move(snap)).answer(queries);
-}
-
-template <typename Facade>
-struct FacadeTraits;
-template <>
-struct FacadeTraits<dynamic::DynamicConnectivity> {
-  static constexpr FacadeKind kKind = FacadeKind::kConnectivity;
-};
-template <>
-struct FacadeTraits<dynamic::DynamicBiconnectivity> {
-  static constexpr FacadeKind kKind = FacadeKind::kBiconnectivity;
-};
 
 /// Fold either facade's report into the one ApplyResult shape (fields for
 /// the other facade stay zero).
@@ -84,19 +48,6 @@ inline ApplyResult to_apply_result(const dynamic::BiconnUpdateReport& r) {
   return out;
 }
 
-/// Block ids for the kEdgeBcc queries of a request; only the biconnectivity
-/// snapshot has them (supports() already rejected kEdgeBcc on the other).
-inline std::vector<std::uint64_t> edge_block_ids(
-    std::shared_ptr<const dynamic::Snapshot>,
-    std::span<const dynamic::MixedQuery>) {
-  return {};
-}
-inline std::vector<std::uint64_t> edge_block_ids(
-    std::shared_ptr<const dynamic::BiconnSnapshot> snap,
-    std::span<const dynamic::MixedQuery> queries) {
-  return dynamic::BiconnBatchQueryEngine(std::move(snap)).block_ids(queries);
-}
-
 }  // namespace detail
 
 /// The unified API over one facade the caller owns (and must keep alive
@@ -110,7 +61,10 @@ class FacadeService final : public ServiceHandler {
 
   [[nodiscard]] ServiceInfo info() const override {
     ServiceInfo out;
-    out.facade = detail::FacadeTraits<Facade>::kKind;
+    out.facade = Facade::snapshot_type::supports(
+                     dynamic::MixedQuery::Kind::kBiconnected)
+                     ? FacadeKind::kBiconnectivity
+                     : FacadeKind::kConnectivity;
     out.num_vertices = facade_.num_vertices();
     out.epoch = facade_.epoch();
     out.snapshot_capacity = facade_.store().capacity();
@@ -118,28 +72,23 @@ class FacadeService final : public ServiceHandler {
   }
 
   [[nodiscard]] QueryResponse query(const QueryRequest& req) const override {
-    const std::size_t n = facade_.num_vertices();
-    for (const dynamic::MixedQuery& q : req.queries) {
-      // kArticulation probes only u; v is ignored and may be anything.
-      const bool v_used = q.kind != dynamic::MixedQuery::Kind::kArticulation;
-      if (q.u >= n || (v_used && q.v >= n)) {
-        return QueryResponse{Status::kBadRequest, 0, {}, {}};
-      }
-    }
     auto snap = req.pin_epoch == kLatestEpoch
                     ? facade_.snapshot()
                     : facade_.snapshot_at(req.pin_epoch);
     if (!snap) return QueryResponse{Status::kEpochGone, 0, {}, {}};
-    for (const dynamic::MixedQuery& q : req.queries) {
-      if (!detail::supports(*snap, q.kind)) {
-        return QueryResponse{Status::kUnsupported, 0, {}, {}};
-      }
+    const std::span<const dynamic::MixedQuery> queries(req.queries);
+    const dynamic::QueryFault fault = dynamic::find_fault(*snap, queries);
+    if (fault != dynamic::QueryFault::kNone) {
+      return QueryResponse{fault == dynamic::QueryFault::kOutOfRange
+                               ? Status::kBadRequest
+                               : Status::kUnsupported,
+                           0, {}, {}};
     }
-    QueryResponse out;
-    out.epoch = snap->epoch();
-    out.block_ids = detail::edge_block_ids(snap, req.queries);
-    out.answers = detail::answer_all(std::move(snap), req.queries);
-    return out;
+    const std::uint64_t epoch = snap->epoch();
+    dynamic::MixedAnswers got =
+        dynamic::BatchQueryEngine(std::move(snap)).answer_with_ids(queries);
+    return QueryResponse{Status::kOk, epoch, std::move(got.answers),
+                         std::move(got.block_ids)};
   }
 
   ApplyResult apply(const ApplyRequest& req) override {

@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "biconn/biconn_oracle.hpp"
 #include "dynamic/batch_query.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
+#include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
 #include "test_util.hpp"
@@ -645,6 +648,36 @@ TEST(DynamicBiconn, UpdateWritesStaySublinear) {
   EXPECT_LT(cost.writes, 10 * batch.size());
 }
 
+/// The scalar answer of one query, per snapshot surface.
+bool scalar_answer(const dynamic::Snapshot& s, const MixedQuery& q) {
+  return s.connected(q.u, q.v);  // the connectivity surface: kConnected only
+}
+bool scalar_answer(const dynamic::BiconnSnapshot& s, const MixedQuery& q) {
+  switch (q.kind) {
+    case MixedQuery::Kind::kConnected: return s.connected(q.u, q.v);
+    case MixedQuery::Kind::kBiconnected: return s.biconnected(q.u, q.v);
+    case MixedQuery::Kind::kTwoEdgeConnected:
+      return s.two_edge_connected(q.u, q.v);
+    case MixedQuery::Kind::kArticulation: return s.is_articulation(q.u);
+    case MixedQuery::Kind::kBridge: return s.is_bridge(q.u, q.v);
+    case MixedQuery::Kind::kEdgeBcc: return s.edge_block_id(q.u, q.v) != 0;
+  }
+  return false;
+}
+
+/// The engine over `snap` answers `queries` exactly like scalar queries.
+template <typename Snap>
+std::vector<std::uint8_t> expect_engine_matches_scalar(
+    const std::shared_ptr<const Snap>& snap,
+    const std::vector<MixedQuery>& queries) {
+  const auto got = dynamic::BatchQueryEngine(snap).answer(queries);
+  EXPECT_EQ(got.size(), queries.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i] != 0, scalar_answer(*snap, queries[i])) << i;
+  }
+  return got;
+}
+
 TEST(BiconnBatchQuery, MixedVectorMatchesScalarQueries) {
   const Graph g = graph::gen::percolation_grid(8, 8, 0.55, 3);
   DynamicBiconnectivity dbc(g, opts(4));
@@ -654,6 +687,7 @@ TEST(BiconnBatchQuery, MixedVectorMatchesScalarQueries) {
   const dynamic::BiconnBatchQueryEngine engine(snap);
   const auto n = vertex_id(g.num_vertices());
   std::vector<MixedQuery> queries;
+  std::vector<MixedQuery> connected;
   for (vertex_id i = 0; i < n; ++i) {
     const auto v = vertex_id((i * 37 + 5) % n);
     queries.push_back({MixedQuery::Kind::kConnected, i, v});
@@ -662,34 +696,22 @@ TEST(BiconnBatchQuery, MixedVectorMatchesScalarQueries) {
     queries.push_back({MixedQuery::Kind::kArticulation, i, 0});
     queries.push_back({MixedQuery::Kind::kBridge, i, v});
     queries.push_back({MixedQuery::Kind::kEdgeBcc, i, v});
+    connected.push_back({MixedQuery::Kind::kConnected, i, v});
   }
-  const auto got = engine.answer(queries);
-  ASSERT_EQ(got.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const MixedQuery& q = queries[i];
-    bool want = false;
-    switch (q.kind) {
-      case MixedQuery::Kind::kConnected:
-        want = snap->connected(q.u, q.v);
-        break;
-      case MixedQuery::Kind::kBiconnected:
-        want = snap->biconnected(q.u, q.v);
-        break;
-      case MixedQuery::Kind::kTwoEdgeConnected:
-        want = snap->two_edge_connected(q.u, q.v);
-        break;
-      case MixedQuery::Kind::kArticulation:
-        want = snap->is_articulation(q.u);
-        break;
-      case MixedQuery::Kind::kBridge:
-        want = snap->is_bridge(q.u, q.v);
-        break;
-      case MixedQuery::Kind::kEdgeBcc:
-        want = snap->edge_block_id(q.u, q.v) != 0;
-        break;
-    }
-    EXPECT_EQ(got[i] != 0, want) << i;
-  }
+  const auto got = expect_engine_matches_scalar(snap, queries);
+
+  // The same engine over the connectivity snapshot answers kConnected and
+  // rejects every other kind, and both reject out-of-range endpoints.
+  dynamic::DynamicOptions copt;
+  copt.oracle.k = 4;
+  dynamic::DynamicConnectivity dc(g, copt);
+  dc.insert_edges({{0, vertex_id(g.num_vertices() - 1)}});
+  (void)expect_engine_matches_scalar(dc.snapshot(), connected);
+  const dynamic::BatchQueryEngine conn_engine(dc.snapshot());
+  EXPECT_THROW((void)conn_engine.answer(queries), std::invalid_argument);
+  const std::vector<MixedQuery> oob{{MixedQuery::Kind::kConnected, 0, n}};
+  EXPECT_THROW((void)conn_engine.answer(oob), std::out_of_range);
+  EXPECT_THROW((void)engine.answer(oob), std::out_of_range);
 
   // block_ids answers the kEdgeBcc subset with the scalar ids, in order.
   const auto ids = engine.block_ids(queries);
@@ -701,6 +723,10 @@ TEST(BiconnBatchQuery, MixedVectorMatchesScalarQueries) {
     ++next_id;
   }
   EXPECT_EQ(next_id, ids.size());
+  // answer_with_ids fills both in one pass, with the same values.
+  const dynamic::MixedAnswers both = engine.answer_with_ids(queries);
+  EXPECT_EQ(both.answers, got);
+  EXPECT_EQ(both.block_ids, ids);
 
   // Pinned engines survive ring eviction, like the connectivity engine.
   for (int i = 0; i < 8; ++i) {

@@ -5,9 +5,11 @@
 // cross-checked against sequential Hopcroft–Tarjan ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <vector>
 
 #include "amem/counters.hpp"
@@ -541,6 +543,79 @@ TEST(EpochHistory, OutOfRangeEpochThrows) {
   const HistoryFixture fx;
   const persist::EpochHistory history(fx.dir.path());
   EXPECT_THROW(history.at(history.max_epoch() + 1), std::out_of_range);
+}
+
+// A historic kEdgeBcc answer is "edge present and not a self-loop", and its
+// ids partition the edges exactly like Hopcroft–Tarjan's blocks.
+TEST(EpochHistory, EdgeBccMatchesBruteBlocks) {
+  const HistoryFixture fx;
+  const persist::EpochHistory history(fx.dir.path());
+  using Kind = dynamic::MixedQuery::Kind;
+  for (std::uint64_t e = 0; e < fx.edges_at.size(); ++e) {
+    const BruteSurface brute(HistoryFixture::kN, fx.edges_at[e]);
+    const persist::QueryView& view = history.at(e)->view();
+    const EdgeList& edges = brute.edges();
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const Edge a = edges[i];
+      const std::uint64_t id = view.edge_block_id(a.u, a.v);
+      EXPECT_EQ(id != 0, a.u != a.v);
+      EXPECT_EQ(history.answer_at(Kind::kEdgeBcc, a.u, a.v, e), a.u != a.v);
+      for (std::size_t j = 0; j < i; ++j) {
+        const Edge b = edges[j];
+        if (a.u == a.v || b.u == b.v) continue;
+        EXPECT_EQ(id == view.edge_block_id(b.u, b.v),
+                  brute.result().edge_bcc[i] == brute.result().edge_bcc[j]);
+      }
+    }
+    for (const Edge p : all_pairs(HistoryFixture::kN)) {
+      const bool present = std::any_of(
+          edges.begin(), edges.end(), [&](const Edge& x) {
+            return (x.u == p.u && x.v == p.v) || (x.u == p.v && x.v == p.u);
+          });
+      EXPECT_EQ(history.answer_at(Kind::kEdgeBcc, p.u, p.v, e),
+                present && p.u != p.v);
+    }
+  }
+}
+
+// A connectivity-only history answers kConnected and rejects every
+// biconnectivity kind: its views have no biconnectivity sections to read.
+TEST(EpochHistory, ConnectivityOnlyHistoryRejectsBiconnKinds) {
+  ScratchDir dir;
+  (void)SnapshotWriter::write(dir.path(), SnapshotKind::kConnectivity, 0, 4,
+                              {{0, 1}, {1, 2}});
+  const persist::EpochHistory history(dir.path(), SnapshotKind::kConnectivity);
+  using Kind = dynamic::MixedQuery::Kind;
+  EXPECT_TRUE(history.answer_at(Kind::kConnected, 0, 2, 0));
+  EXPECT_FALSE(history.answer_at(Kind::kConnected, 0, 3, 0));
+  for (const Kind kind : {Kind::kBiconnected, Kind::kTwoEdgeConnected,
+                          Kind::kArticulation, Kind::kBridge, Kind::kEdgeBcc}) {
+    EXPECT_THROW((void)history.answer_at(kind, 0, 1, 0),
+                 std::invalid_argument);
+  }
+  const std::vector<dynamic::TimeTravelQuery> batch{
+      {Kind::kConnected, 0, 1, 0}, {Kind::kTwoEdgeConnected, 0, 1, 0}};
+  EXPECT_THROW((void)dynamic::answer_time_travel(history, batch),
+               std::invalid_argument);
+}
+
+// Endpoints outside [0, n) are rejected, except kArticulation's unused v.
+TEST(EpochHistory, OutOfRangeEndpointThrows) {
+  const HistoryFixture fx;
+  const persist::EpochHistory history(fx.dir.path());
+  using Kind = dynamic::MixedQuery::Kind;
+  const auto n = vertex_id(history.num_vertices());
+  EXPECT_THROW((void)history.answer_at(Kind::kConnected, 0, n, 0),
+               std::out_of_range);
+  EXPECT_THROW((void)history.answer_at(Kind::kBiconnected, n, 0, 1),
+               std::out_of_range);
+  EXPECT_THROW((void)history.answer_at(Kind::kArticulation, n, 0, 0),
+               std::out_of_range);
+  EXPECT_NO_THROW((void)history.answer_at(Kind::kArticulation, 0, n + 7, 0));
+  const std::vector<dynamic::TimeTravelQuery> batch{
+      {Kind::kConnected, 0, 1, 0}, {Kind::kBridge, 0, n, 1}};
+  EXPECT_THROW((void)dynamic::answer_time_travel(history, batch),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "amem/counters.hpp"
 #include "dynamic/dynamic_biconnectivity.hpp"
 #include "dynamic/dynamic_connectivity.hpp"
 #include "graph/generators.hpp"
@@ -486,6 +487,48 @@ TEST(ServiceApplyResult, CarriesBiconnDirtyClusters) {
   EXPECT_EQ(over_wire.dirty_components, want.dirty_components);
   client.close();
   server.stop();
+}
+
+// One parallel pass fills answers and block ids: a kEdgeBcc query costs
+// exactly one edge_block_id probe, and its boolean is `id != 0`.
+TEST(FacadeService, EdgeBccProbesEachQueryOnce) {
+  const Graph g = graph::gen::percolation_grid(8, 8, 0.6, 11);
+  dynamic::DynamicBiconnOptions opt;
+  opt.oracle.k = 3;
+  dynamic::DynamicBiconnectivity dbc(g, opt);
+  dbc.insert_edges({{0, 63}, {5, 40}});  // patch-inserted edges answer too
+  const service::FacadeService<dynamic::DynamicBiconnectivity> svc(dbc);
+
+  service::QueryRequest req;
+  for (const Edge& e : g.edge_list()) {
+    req.queries.push_back({MixedQuery::Kind::kEdgeBcc, e.u, e.v});
+  }
+  req.queries.push_back({MixedQuery::Kind::kEdgeBcc, 0, 63});
+  req.queries.push_back({MixedQuery::Kind::kEdgeBcc, 5, 40});
+  req.queries.push_back({MixedQuery::Kind::kEdgeBcc, 7, 7});   // self-loop
+  req.queries.push_back({MixedQuery::Kind::kEdgeBcc, 0, 62});  // absent
+
+  const auto snap = dbc.snapshot();
+  std::vector<std::uint64_t> want;
+  const amem::Stats p0 = amem::snapshot();
+  for (const MixedQuery& q : req.queries) {
+    want.push_back(snap->edge_block_id(q.u, q.v));
+  }
+  const std::uint64_t one_probe_each = (amem::snapshot() - p0).reads;
+
+  const amem::Stats q0 = amem::snapshot();
+  const service::QueryResponse resp = svc.query(req);
+  const std::uint64_t served = (amem::snapshot() - q0).reads;
+  ASSERT_EQ(resp.status, service::Status::kOk);
+  EXPECT_EQ(served, one_probe_each);
+  EXPECT_EQ(resp.block_ids, want);
+  ASSERT_EQ(resp.answers.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(resp.answers[i], want[i] != 0 ? 1 : 0) << i;
+  }
+  EXPECT_NE(want[want.size() - 4], 0u);
+  EXPECT_EQ(want[want.size() - 2], 0u);
+  EXPECT_EQ(want.back(), 0u);
 }
 
 // ---- writer churn vs concurrent readers (TSan leg) -----------------------

@@ -35,6 +35,7 @@
 #include "dynamic/dynamic_connectivity.hpp"
 #include "dynamic/facade_core.hpp"
 #include "dynamic/overlay_graph.hpp"
+#include "dynamic/query.hpp"
 #include "dynamic/rebuild_planner.hpp"
 #include "dynamic/snapshot_store.hpp"
 #include "dynamic/update_batch.hpp"
