@@ -2,22 +2,32 @@
 """CI perf-regression gate over the BENCH_*.json trajectory artifacts.
 
 Usage:
-  bench_compare.py --current DIR --parent DIR [--threshold 0.25]
+  bench_compare.py --current DIR|FILE [--parent DIR] [--threshold 0.25]
   bench_compare.py --self-test
 
-Compares every BENCH_*.json in --current against the file of the same name
-in --parent (the parent commit's uploaded bench artifact) and fails (exit 1)
-when any shared row drifts worse than --threshold (default 25%):
+Two checks, and either fails the run (exit 1):
+
+The absolute floor needs only --current (a directory of BENCH_*.json, or
+one such file). A row that carries absorb_rate
+(an absorbing fast path under churn) must have speedup_vs_rebuild >= 1: a
+fast path slower than the rebuild it replaces does not pay for itself,
+whatever fraction of batches it absorbs.
+
+The drift gate compares every BENCH_*.json in --current against the file of
+the same name in --parent (the parent commit's uploaded bench artifact) and
+fails when any shared row drifts worse than --threshold (default 25%):
 
   * ns_per_op            — higher is worse;
   * rebuild_ms           — higher is worse;
   * speedup_vs_rebuild   — lower is worse;
-  * speedup_vs_1thread   — lower is worse.
+  * speedup_vs_1thread   — lower is worse;
+  * absorb_rate          — lower is worse.
 
-Tolerances by design, so the gate never blocks structural change:
+Tolerances by design, so the drift gate never blocks structural change:
 
-  * a missing --parent directory or parent file (first run on a branch,
-    artifact expired, bench added this commit) is logged and PASSES;
+  * no --parent, a missing --parent directory or parent file (first run on
+    a branch, artifact expired, bench added this commit) is logged and
+    PASSES — the floor still runs;
   * a row present on only one side is logged and skipped;
   * a null on either side of a pair is skipped — bench_to_json.py emits
     null for "not measured", which must never compare against a number.
@@ -44,6 +54,13 @@ GATED_FIELDS = {
     # rebuild; a drop means churn fell back off the O(B)-write fast path.
     "absorb_rate": False,
 }
+
+
+# A row carrying this field is on an absorbing path, and must keep
+# FLOOR_FIELD at or above FLOOR.
+ABSORBING_FIELD = "absorb_rate"
+FLOOR_FIELD = "speedup_vs_rebuild"
+FLOOR = 1.0
 
 
 def load_rows(path):
@@ -81,14 +98,41 @@ def compare_rows(fname, current, parent, threshold):
     return failures, notes
 
 
+def check_floor(fname, current):
+    """Absolute floor over one {name: row} map; returns (failures, notes)."""
+    failures, notes = [], []
+    for name, row in sorted(current.items()):
+        if row.get(ABSORBING_FIELD) is None:
+            continue
+        speedup = row.get(FLOOR_FIELD)
+        if speedup is None:
+            notes.append(f"{fname}: {name}: {ABSORBING_FIELD} without "
+                         f"{FLOOR_FIELD}, floor skipped")
+        elif speedup < FLOOR:
+            failures.append(
+                f"{fname}: {name}: {FLOOR_FIELD} {speedup:.4g} below the "
+                f"floor {FLOOR:g} on an absorbing path")
+    return failures, notes
+
+
 def compare_dirs(current_dir, parent_dir, threshold):
     """Returns (failures, notes, compared_file_count)."""
     failures, notes = [], []
     compared = 0
-    current_files = sorted(
-        glob.glob(os.path.join(current_dir, "BENCH_*.json")))
+    if os.path.isfile(current_dir):
+        current_files = [current_dir]
+    else:
+        current_files = sorted(
+            glob.glob(os.path.join(current_dir, "BENCH_*.json")))
     if not current_files:
         notes.append(f"no BENCH_*.json under {current_dir}; nothing to gate")
+    for cpath in current_files:
+        f, n = check_floor(os.path.basename(cpath), load_rows(cpath))
+        failures += f
+        notes += n
+    if parent_dir is None:
+        notes.append("no --parent given; floor only")
+        return failures, notes, compared
     if not os.path.isdir(parent_dir):
         notes.append(
             f"parent artifact dir {parent_dir} missing "
@@ -131,7 +175,7 @@ def self_test():
     cases = 0
 
     def expect(desc, current_rows, parent_rows, want_fail,
-               parent_missing=False):
+               parent_missing=False, no_parent=False):
         nonlocal cases
         with tempfile.TemporaryDirectory() as tmp:
             cur = os.path.join(tmp, "cur")
@@ -139,7 +183,8 @@ def self_test():
             _write(cur, "BENCH_rebuild.json", current_rows)
             if not parent_missing:
                 _write(par, "BENCH_rebuild.json", parent_rows)
-            failures, _, _ = compare_dirs(cur, par, 0.25)
+            failures, _, _ = compare_dirs(cur, None if no_parent else par,
+                                          0.25)
             failed = bool(failures)
             assert failed == want_fail, (
                 f"self-test case '{desc}': expected "
@@ -179,6 +224,23 @@ def self_test():
     dipped = dict(base_row, absorb_rate=0.9)
     expect("absorb_rate small dip passes", [dipped], [base_row],
            want_fail=False)
+    # The floor: an absorbing row slower than the rebuild fails on its own,
+    # with no parent at all, with a missing parent artifact, and even when
+    # the parent was just as slow (no drift).
+    absorbing = dict(base_row, speedup_vs_rebuild=1.5)
+    expect("absorbing row above the floor", [absorbing], [], want_fail=False,
+           no_parent=True)
+    below = dict(absorbing, speedup_vs_rebuild=0.7)
+    expect("absorbing row below the floor, no parent", [below], [],
+           want_fail=True, no_parent=True)
+    expect("absorbing row below the floor, parent missing", [below], [],
+           want_fail=True, parent_missing=True)
+    expect("absorbing row below the floor, no drift", [below], [below],
+           want_fail=True)
+    # Rows without absorb_rate (rebuild rows) have no floor.
+    rebuild_row = dict(base_row, absorb_rate=None, speedup_vs_rebuild=0.5)
+    expect("non-absorbing row below 1 passes", [rebuild_row], [],
+           want_fail=False, no_parent=True)
 
     print(f"bench_compare.py --self-test: {cases} cases passed")
 
@@ -188,9 +250,11 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--current", default=".",
-                    help="dir holding this commit's BENCH_*.json")
-    ap.add_argument("--parent", default="parent-bench",
-                    help="dir holding the parent commit's BENCH_*.json")
+                    help="dir holding this commit's BENCH_*.json, or one "
+                         "such file")
+    ap.add_argument("--parent", default=None,
+                    help="dir holding the parent commit's BENCH_*.json; "
+                         "without it only the floor runs")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="fractional drift that fails the gate")
     ap.add_argument("--self-test", action="store_true")
@@ -208,7 +272,7 @@ def main():
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         sys.exit(1)
-    print(f"bench_compare.py: {compared} file(s) compared, "
+    print(f"bench_compare.py: floor held; {compared} file(s) compared, "
           f"no drift beyond {args.threshold:.0%}")
 
 

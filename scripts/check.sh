@@ -6,7 +6,8 @@
 # tests. The dynamic bench smokes emit machine-readable BENCH_dynamic.json
 # / BENCH_dynamic_biconn.json (benchmark name, n, batch size, ns/op,
 # speedup-vs-rebuild, verified) at the repo root, which CI uploads as
-# per-commit perf-trajectory artifacts.
+# per-commit perf-trajectory artifacts; outside sanitizer builds the
+# biconnectivity rows must also pass bench_compare.py's absolute floor.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 # Env:   CXX/CC respected by cmake as usual; WECC_THREADS caps the pool;
@@ -89,6 +90,12 @@ echo "== bench smoke: dynamic biconnectivity (self-verified vs rebuild) =="
   --benchmark_out_format=json
 python3 scripts/bench_to_json.py "$BUILD_DIR/bench_dynamic_biconn_raw.json" \
   BENCH_dynamic_biconn.json
+# Absolute floor: every absorbing row (one carrying absorb_rate) must beat
+# the from-scratch rebuild it replaces. Sanitizer timings say nothing about
+# that, so only the plain legs enforce it.
+if [[ -z "${WECC_SANITIZE:-}" ]]; then
+  python3 scripts/bench_compare.py --current BENCH_dynamic_biconn.json
+fi
 
 echo "== bench smoke: parallel selective rebuilds (small rows; CI's rebuild leg runs n=100k) =="
 "$BUILD_DIR/bench/bench_rebuild" \

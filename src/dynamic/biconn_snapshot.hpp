@@ -8,6 +8,9 @@
 //    patch-inserted edges, deletion masks over frozen edges, demoted
 //    bridges, 2ec anchor groups, and the ordered insert-event journal the
 //    deletion triage replays.
+//  * PatchUndo — the planner's record of one reversible patch mutation;
+//    BiconnPatch::rewind takes a staged patch back to an earlier journal
+//    position with it. Writer-side only: published patches never hold one.
 //  * VersionedBiconnOracle — one built §5.3 oracle bundled with the frozen
 //    overlay graph it reads.
 //  * BiconnPatchView — the query/enumeration logic over (frozen oracle,
@@ -36,13 +39,37 @@
 
 namespace wecc::dynamic {
 
+/// One reversible BiconnPatch mutation. Every mutator an absorbed insert
+/// event performs appends one record (effective changes only), so undoing
+/// the records newest first restores the patch exactly — union-find links
+/// included — to any earlier journal position. Masks and touched-component
+/// breadcrumbs are never recorded: both only ever grow.
+struct PatchUndo {
+  enum class Kind : std::uint8_t {
+    kEdge,             // add_patch_edge: edge key
+    kArticulation,     // add_articulation (new promotion): vertex
+    kComponentMerge,   // merge_components: the absorbed label
+    kBridge,           // add_bridge (new): edge key
+    kPatchBlock,       // fresh_patch_block
+    kBlockUnion,       // unite_blocks: the absorbed root
+    kDemotion,         // demote_bridge (new): edge key
+    kMergedComponent,  // note_merged_component (new): label
+    kAnchor,           // anchor_for (new class): 2ec class key
+    kTecUnion,         // tec_unite: the absorbed root
+  };
+  Kind kind;
+  std::uint64_t key;
+};
+using PatchUndoLog = std::vector<PatchUndo>;
+
 /// Patch state carried between biconnectivity rebuilds. All containers are
 /// O(#absorbed operations); every mutation is O(1) counted writes (anchors
 /// are keyed by the frozen oracle's canonical 2ec class, so anchor lookup
 /// is one hash probe).
 class BiconnPatch {
  public:
-  /// Connectivity merges (canonical component labels).
+  /// Connectivity merges (canonical component labels); mutate through
+  /// merge_components so the merge is undoable.
   LabelPatch conn;
 
   struct PatchEdge {
@@ -53,8 +80,12 @@ class BiconnPatch {
   // --- patched bridges (cross-component fast-path insertions) ---
 
   /// Record the patched bridge edge (u, v).
-  void add_bridge(graph::vertex_id u, graph::vertex_id v) {
-    bridges_.insert(edge_key(u, v));
+  void add_bridge(graph::vertex_id u, graph::vertex_id v,
+                  PatchUndoLog& undo) {
+    const std::uint64_t k = edge_key(u, v);
+    if (bridges_.insert(k).second) {
+      undo.push_back({PatchUndo::Kind::kBridge, k});
+    }
     amem::count_write();
   }
   [[nodiscard]] bool is_patched_bridge(graph::vertex_id u,
@@ -66,13 +97,27 @@ class BiconnPatch {
   /// Promote v to an articulation point (a patched bridge promotion; block
   /// merges supersede this set inside merged components, where articulation
   /// answers are recomputed from incident block classes).
-  void add_articulation(graph::vertex_id v) {
-    artics_.insert(v);
+  void add_articulation(graph::vertex_id v, PatchUndoLog& undo) {
+    if (artics_.insert(v).second) {
+      undo.push_back({PatchUndo::Kind::kArticulation, v});
+    }
     amem::count_write();
   }
   [[nodiscard]] bool is_patched_articulation(graph::vertex_id v) const {
     amem::count_read();
     return artics_.count(v) != 0;
+  }
+
+  /// Merge the connectivity classes of component labels a and b (see
+  /// LabelPatch::unite for the winner rule).
+  template <typename IsCenter>
+  void merge_components(graph::vertex_id a, graph::vertex_id b,
+                        IsCenter&& is_center, PatchUndoLog& undo) {
+    const graph::vertex_id loser =
+        conn.unite(a, b, std::forward<IsCenter>(is_center));
+    if (loser != graph::kNoVertex) {
+      undo.push_back({PatchUndo::Kind::kComponentMerge, loser});
+    }
   }
 
   // --- touched components (selective-rebuild breadcrumbs) ---
@@ -90,7 +135,7 @@ class BiconnPatch {
     return touched_;
   }
 
-  // --- insert-event journal (deletion triage replays this) ---
+  // --- insert-event journal (deletion triage rewinds and replays this) ---
 
   void append_event(graph::Edge e) {
     events_.push_back(e);
@@ -106,14 +151,16 @@ class BiconnPatch {
   /// class key (0 for self-loops, which belong to no block). Non-self
   /// copies also extend the patch adjacency used by merge path searches.
   void add_patch_edge(graph::vertex_id u, graph::vertex_id v,
-                      std::uint64_t block) {
-    auto& pe = edges_[edge_key(u, v)];
+                      std::uint64_t block, PatchUndoLog& undo) {
+    const std::uint64_t k = edge_key(u, v);
+    auto& pe = edges_[k];
     if (pe.copies == 0) pe.block = block;
     ++pe.copies;
     if (u != v) {
       adj_[u].push_back(v);
       adj_[v].push_back(u);
     }
+    undo.push_back({PatchUndo::Kind::kEdge, k});
     amem::count_write();
   }
   [[nodiscard]] std::uint32_t edge_copies(std::uint64_t key) const {
@@ -142,19 +189,27 @@ class BiconnPatch {
   // --- block-class union-find ---
 
   [[nodiscard]] const PatchUnion& blocks() const noexcept { return blocks_; }
-  std::uint64_t unite_blocks(std::uint64_t a, std::uint64_t b) {
-    return blocks_.unite(a, b);
+  std::uint64_t unite_blocks(std::uint64_t a, std::uint64_t b,
+                             PatchUndoLog& undo) {
+    const PatchUnion::Link link = blocks_.unite(a, b);
+    if (link.absorbed) {
+      undo.push_back({PatchUndo::Kind::kBlockUnion, *link.absorbed});
+    }
+    return link.root;
   }
   /// Mint a block class for a patched bridge (a fresh K2 block).
-  [[nodiscard]] std::uint64_t fresh_patch_block() {
+  [[nodiscard]] std::uint64_t fresh_patch_block(PatchUndoLog& undo) {
+    undo.push_back({PatchUndo::Kind::kPatchBlock, 0});
     amem::count_write();
     return patch_block_key(next_patch_block_++);
   }
 
   // --- bridge demotions (bridges swallowed by a block merge) ---
 
-  void demote_bridge(std::uint64_t key) {
-    demoted_.insert(key);
+  void demote_bridge(std::uint64_t key, PatchUndoLog& undo) {
+    if (demoted_.insert(key).second) {
+      undo.push_back({PatchUndo::Kind::kDemotion, key});
+    }
     amem::count_write();
   }
   [[nodiscard]] bool is_demoted_bridge(std::uint64_t key) const {
@@ -165,8 +220,10 @@ class BiconnPatch {
 
   // --- merged components (articulation/biconnected recompute gate) ---
 
-  void note_merged_component(graph::vertex_id label) {
-    merged_comps_.insert(label);
+  void note_merged_component(graph::vertex_id label, PatchUndoLog& undo) {
+    if (merged_comps_.insert(label).second) {
+      undo.push_back({PatchUndo::Kind::kMergedComponent, label});
+    }
     amem::count_write();
   }
   [[nodiscard]] bool in_merged_component(graph::vertex_id label) const {
@@ -195,24 +252,6 @@ class BiconnPatch {
     return it == masks_.end() ? 0 : it->second;
   }
   [[nodiscard]] bool has_masks() const noexcept { return !masks_.empty(); }
-  /// Carry a prior patch's masks into this (fresh) patch before a triage
-  /// replay. Masks are permanently valid — each was certified against the
-  /// frozen graph minus the masks before it, so the set only ever grows.
-  void carry_masks_from(const BiconnPatch& prior) {
-    for (const auto& kv : prior.masks_) {
-      masks_.insert(kv);
-      amem::count_write();
-    }
-  }
-  /// Carry a prior patch's touched-component breadcrumbs (journal replay
-  /// regenerates most of them, but components dirtied by prior masks or
-  /// since-cancelled events must stay dirty for the next rebuild too).
-  void carry_touched_from(const BiconnPatch& prior) {
-    for (const graph::vertex_id l : prior.touched_) {
-      touched_.insert(l);
-      amem::count_write();
-    }
-  }
 
   // --- 2ec anchor groups ---
 
@@ -221,11 +260,13 @@ class BiconnPatch {
   /// x registers as the anchor when the class is new. O(1) — keying by the
   /// canonical class name is what keeps merge planning and replay linear
   /// in the path length instead of quadratic in anchors per component.
-  graph::vertex_id anchor_for(std::uint64_t cls, graph::vertex_id x) {
+  graph::vertex_id anchor_for(std::uint64_t cls, graph::vertex_id x,
+                              PatchUndoLog& undo) {
     amem::count_read();
     const auto it = anchors_.find(cls);
     if (it != anchors_.end()) return it->second;
     anchors_.emplace(cls, x);
+    undo.push_back({PatchUndo::Kind::kAnchor, cls});
     amem::count_write();
     return x;
   }
@@ -239,10 +280,83 @@ class BiconnPatch {
     return it->second;
   }
   [[nodiscard]] bool has_anchors() const noexcept { return !anchors_.empty(); }
-  void tec_unite(graph::vertex_id a, graph::vertex_id b) { tec_.unite(a, b); }
+  void tec_unite(graph::vertex_id a, graph::vertex_id b, PatchUndoLog& undo) {
+    const PatchUnion::Link link = tec_.unite(a, b);
+    if (link.absorbed) {
+      undo.push_back({PatchUndo::Kind::kTecUnion, *link.absorbed});
+    }
+  }
   [[nodiscard]] const PatchUnion& tec() const noexcept { return tec_; }
 
+  // --- rewind ---
+
+  /// Take the patch back to the journal position `events`: undo the
+  /// records past `mark` newest first, then drop the journal events past
+  /// `events`. With `mark` the log size when event `events` was planned,
+  /// the patch ends exactly as it stood then, except that masks and
+  /// touched breadcrumbs added since stay (both are valid for any
+  /// position). One counted write per undone record and dropped event.
+  void rewind(PatchUndoLog& undo, std::size_t mark, std::size_t events) {
+    while (undo.size() > mark) {
+      revert(undo.back());
+      undo.pop_back();
+      amem::count_write();
+    }
+    if (events_.size() > events) {
+      amem::count_write(events_.size() - events);
+      events_.resize(events);
+    }
+  }
+
  private:
+  void revert(const PatchUndo& r) {
+    switch (r.kind) {
+      case PatchUndo::Kind::kEdge: {
+        const auto it = edges_.find(r.key);
+        if (--it->second.copies == 0) edges_.erase(it);
+        const auto lo = graph::vertex_id(r.key >> 32);
+        const auto hi = graph::vertex_id(r.key & 0xffffffffu);
+        if (lo != hi) {
+          pop_adjacency(lo);
+          pop_adjacency(hi);
+        }
+        break;
+      }
+      case PatchUndo::Kind::kArticulation:
+        artics_.erase(graph::vertex_id(r.key));
+        break;
+      case PatchUndo::Kind::kComponentMerge:
+        conn.unlink(graph::vertex_id(r.key));
+        break;
+      case PatchUndo::Kind::kBridge:
+        bridges_.erase(r.key);
+        break;
+      case PatchUndo::Kind::kPatchBlock:
+        --next_patch_block_;
+        break;
+      case PatchUndo::Kind::kBlockUnion:
+        blocks_.unlink(r.key);
+        break;
+      case PatchUndo::Kind::kDemotion:
+        demoted_.erase(r.key);
+        break;
+      case PatchUndo::Kind::kMergedComponent:
+        merged_comps_.erase(graph::vertex_id(r.key));
+        break;
+      case PatchUndo::Kind::kAnchor:
+        anchors_.erase(r.key);
+        break;
+      case PatchUndo::Kind::kTecUnion:
+        tec_.unlink(r.key);
+        break;
+    }
+  }
+  void pop_adjacency(graph::vertex_id v) {
+    const auto it = adj_.find(v);
+    it->second.pop_back();
+    if (it->second.empty()) adj_.erase(it);
+  }
+
   std::unordered_set<std::uint64_t> bridges_;
   std::unordered_set<graph::vertex_id> artics_;
   std::unordered_set<graph::vertex_id> touched_;

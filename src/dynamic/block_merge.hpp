@@ -8,7 +8,8 @@
 //  * PatchUnion — persistent (no path compression) union-find over u64
 //    keys, the LabelPatch discipline: find() is const and pure so snapshot
 //    copies answer queries without mutating shared chains; unite() is one
-//    counted write. Winner selection is deterministic (smaller root key),
+//    counted write and reports the root it absorbed, which unlink() takes
+//    to undo it. Winner selection is deterministic (smaller root key),
 //    which keeps published snapshots bit-identical across rebuild thread
 //    counts.
 //  * bounded_path_search — the bounded bidirectional BFS the fast-insert
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -61,18 +63,30 @@ class PatchUnion {
     return key;
   }
 
-  /// Merge the classes of a and b; returns the surviving root (the smaller
-  /// key — deterministic, independent of call order history only through
-  /// the union structure itself). One counted write when a merge happens.
-  std::uint64_t unite(std::uint64_t a, std::uint64_t b) {
+  /// What unite() did: the surviving root, and the root it linked under
+  /// it (none when a and b were already one class).
+  struct Link {
+    std::uint64_t root;
+    std::optional<std::uint64_t> absorbed;
+  };
+
+  /// Merge the classes of a and b; the survivor is the smaller root key, so
+  /// every root is its class's minimum and find() depends only on the
+  /// partition, not on the order of the unions that built it. One counted
+  /// write when a merge happens.
+  Link unite(std::uint64_t a, std::uint64_t b) {
     a = find(a);
     b = find(b);
-    if (a == b) return a;
+    if (a == b) return {a, std::nullopt};
     if (b < a) std::swap(a, b);
     parent_.emplace(b, a);
     amem::count_write();
-    return a;
+    return {a, b};
   }
+
+  /// Undo the unite() that absorbed this root. Exact when undos run newest
+  /// first: without path compression no later operation rewrites the link.
+  void unlink(std::uint64_t absorbed) { parent_.erase(absorbed); }
 
   [[nodiscard]] bool empty() const noexcept { return parent_.empty(); }
 

@@ -33,14 +33,20 @@
 //    (rebuild_reason = cross-block).
 //  * Fast mixed path — a batch with deletions is still absorbable when
 //    deletion triage succeeds: deletions of patch-inserted copies cancel
-//    against the insert-event journal, and each deletion of a frozen edge
-//    must pass a 2-connectivity certificate (two internally vertex-disjoint
-//    replacement paths in frozen-minus-masks — parallel copies count — so
-//    the block provably stays 2-connected and no answer changes; the edge
-//    becomes a mask). The surviving journal then *replays* into a fresh
-//    patch through the same per-edge planner, which also re-splits
-//    components correctly when a patched bridge was deleted. Batches whose
-//    journal exceeds `replay_event_limit` skip triage (rebuild_reason =
+//    against the insert-event journal (earliest copy of a key first), and
+//    each deletion of a frozen edge must pass a 2-connectivity certificate
+//    (two internally vertex-disjoint replacement paths in frozen-minus-
+//    masks — parallel copies count — so the block provably stays
+//    2-connected and no answer changes; the edge becomes a mask). The
+//    planner then *rewinds* a copy of the patch to the first cancelled
+//    event — through per-event undo records kept in the planner memo — and
+//    re-plans only the surviving events after it, which also re-splits
+//    components correctly when a patched bridge was deleted. The events
+//    before that point were planned under the current masks and are left
+//    as they stand; a batch that adds a mask rewinds to the journal's
+//    start. So a batch costs O(B + events after the first cancelled one),
+//    not O(journal). A batch whose re-planned events plus own size exceed
+//    `replay_event_limit` skips triage (rebuild_reason =
 //    deletion-overflow).
 //  * Selective rebuild — any batch the above refuse. Only the connected
 //    components an edge changed in since the
@@ -110,9 +116,11 @@ struct DynamicBiconnOptions {
   /// the search is bidirectional scratch (visits cost time, not counted
   /// writes) and caps at the component size anyway.
   std::size_t merge_search_limit = 65536;
-  /// Largest insert-event journal the deletion triage will replay. Bounds
-  /// the mixed fast path's worst case at O(journal × path) operations;
-  /// larger journals send deletion batches straight to the rebuild.
+  /// Most journal events one deletion batch may re-plan: the events after
+  /// the first one it cancels (the whole journal when it masks a frozen
+  /// edge) plus the batch's own size. Bounds the mixed fast path's worst
+  /// case at O(limit × path) operations; a batch over it goes straight to
+  /// the rebuild (deletion-overflow). The journal itself may grow past it.
   std::size_t replay_event_limit = 16384;
 };
 
@@ -134,14 +142,23 @@ struct BiconnUpdateReport : UpdateReportBase {
 
 class DynamicBiconnectivity;
 
-/// One entry per insert-event journal entry: the cycle path the event's
-/// block merge united along (empty for self-loops, bridges, and intra-block
-/// edges) — the biconnectivity planner's memo. Writer-side planning state
-/// only; snapshots never carry it. Deletion triage replays the journal
-/// through the planner every mixed batch; re-validating a remembered path
-/// costs O(path) edge-presence probes where re-searching costs a BFS, which
-/// is what keeps replay linear in the journal instead of quadratic.
-using MergePaths = std::vector<std::vector<graph::vertex_id>>;
+/// The biconnectivity planner's memo: writer-side planning state committed
+/// with the patch; snapshots never carry it. One entry per insert-event
+/// journal entry, plus the undo log those events wrote.
+struct PlannerMemo {
+  struct Event {
+    /// The cycle path the event's block merge united along (empty for
+    /// self-loops, bridges and intra-block edges). A replayed event whose
+    /// path is still present re-validates it in O(path) edge-presence
+    /// probes instead of re-searching with a BFS.
+    std::vector<graph::vertex_id> path;
+    /// undo.size() when the event was planned: rewinding the patch to this
+    /// mark restores it to just before the event.
+    std::size_t undo_mark = 0;
+  };
+  std::vector<Event> events;
+  PatchUndoLog undo;
+};
 
 /// FacadeCore vocabulary of the biconnectivity facade.
 struct BiconnectivityPolicy {
@@ -151,7 +168,7 @@ struct BiconnectivityPolicy {
   using snapshot_type = BiconnSnapshot;
   using state_type = VersionedBiconnOracle;
   using patch_type = BiconnPatch;
-  using memo_type = MergePaths;
+  using memo_type = PlannerMemo;
   static constexpr const char* kPhasePrefix = "dynamic_biconn";
 };
 
@@ -160,7 +177,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   /// Builds the epoch-0 oracle over `base` (vertex set fixed thereafter).
   explicit DynamicBiconnectivity(graph::Graph base,
                                  DynamicBiconnOptions opt = {})
-      : FacadeCore(std::move(base), opt) {}
+      : FacadeCore(std::move(base), opt), memo_version_(state_) {}
 
   [[nodiscard]] bool biconnected(graph::vertex_id u,
                                  graph::vertex_id v) const {
@@ -184,7 +201,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   /// insertion-only batches extend a copy of patch_ edge by edge (O(B k^2)
   /// expected operations plus bounded merge-path searches, O(B + merged
   /// blocks) counted writes); batches with deletions go through deletion
-  /// triage and journal replay (plan_fast_mixed). On refusal the report
+  /// triage and a journal rewind (plan_fast_mixed). On refusal the report
   /// keeps only its epoch and why the plan failed.
   std::optional<FastPlan> plan_fast(const UpdateBatch& batch,
                                     BiconnUpdateReport& report) {
@@ -199,14 +216,8 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
                            report)) {
         plan.reset();
       }
-    } else if (patch_.events().size() + batch.size() <=
-               opt_.replay_event_limit) {
-      plan.emplace();
-      if (!plan_fast_mixed(batch, plan->patch, plan->memo, report)) {
-        plan.reset();
-      }
     } else {
-      report.rebuild_reason = RebuildReason::kDeletionOverflow;
+      plan = plan_fast_mixed(batch, report);
     }
     if (plan) return plan;
     // Discard fast-path planning counts; keep why the plan failed.
@@ -221,10 +232,9 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   /// Plan the batch's insertions in order against the staged patch,
   /// counted; false (report.rebuild_reason set) at the first refusal.
   bool plan_insertions(const graph::EdgeList& insertions, BiconnPatch& staged,
-                       MergePaths& staged_paths, BiconnUpdateReport& report) {
+                       PlannerMemo& memo, BiconnUpdateReport& report) {
     for (const graph::Edge& e : insertions) {
-      if (!plan_insert_edge(e, staged, staged_paths, report,
-                            /*count=*/true)) {
+      if (!plan_insert_edge(e, staged, memo, report, /*count=*/true)) {
         return false;
       }
     }
@@ -236,21 +246,36 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   /// during deletion triage (the epoch that absorbed them already counted
   /// them); `hint` is the path that event's merge followed last time, if
   /// any. Every absorbed edge appends exactly one journal event and one
-  /// staged_paths entry, keeping the two aligned by index. On failure sets
-  /// report.rebuild_reason and returns false; the caller discards `staged`.
+  /// memo entry, keeping the two aligned by index, and its patch mutations
+  /// to memo.undo. On failure sets report.rebuild_reason and returns false;
+  /// the caller discards `staged` and `memo`.
   bool plan_insert_edge(const graph::Edge& e, BiconnPatch& staged,
-                        MergePaths& staged_paths, BiconnUpdateReport& report,
+                        PlannerMemo& memo, BiconnUpdateReport& report,
                         bool count,
                         const std::vector<graph::vertex_id>* hint = nullptr) {
+    PlannerMemo::Event event{{}, memo.undo.size()};
+    if (!absorb_insert(e, staged, memo.undo, event.path, report, count,
+                       hint)) {
+      return false;
+    }
+    staged.append_event(e);
+    memo.events.push_back(std::move(event));
+    return true;
+  }
+
+  /// The case analysis of plan_insert_edge: records the edge in `staged`
+  /// (undoably) and, for a block merge, the path it united along in `path`.
+  bool absorb_insert(const graph::Edge& e, BiconnPatch& staged,
+                     PatchUndoLog& undo, std::vector<graph::vertex_id>& path,
+                     BiconnUpdateReport& report, bool count,
+                     const std::vector<graph::vertex_id>* hint) {
     const auto& oracle = state_->oracle;
     if (e.u == e.v) {
       // Self-loops are biconnectivity-inert, but still recorded (class 0 —
       // no block) so deletion triage can cancel them against the journal,
       // and still leave the breadcrumb: build_reusing's contract is that a
       // clean component's subgraph is bit-identical to the old frozen one.
-      staged.add_patch_edge(e.u, e.v, 0);
-      staged.append_event(e);
-      staged_paths.emplace_back();
+      staged.add_patch_edge(e.u, e.v, 0, undo);
       staged.touch_component(oracle.component_of(e.u));
       if (count) ++report.absorbed_edges;
       return true;
@@ -261,15 +286,16 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
       // (b) component merge: the one edge between two merged components —
       // a bridge forming a fresh patch-born K2 block.
       const BiconnPatchView view(*state_, staged);
-      if (view.has_neighbor(e.u)) staged.add_articulation(e.u);
-      if (view.has_neighbor(e.v)) staged.add_articulation(e.v);
-      staged.conn.unite(bu, bv, [&](graph::vertex_id l) {
-        return oracle.decomposition().is_center(l);
-      });
-      staged.add_bridge(e.u, e.v);
-      staged.add_patch_edge(e.u, e.v, staged.fresh_patch_block());
-      staged.append_event(e);
-      staged_paths.emplace_back();
+      if (view.has_neighbor(e.u)) staged.add_articulation(e.u, undo);
+      if (view.has_neighbor(e.v)) staged.add_articulation(e.v, undo);
+      staged.merge_components(
+          bu, bv,
+          [&](graph::vertex_id l) {
+            return oracle.decomposition().is_center(l);
+          },
+          undo);
+      staged.add_bridge(e.u, e.v, undo);
+      staged.add_patch_edge(e.u, e.v, staged.fresh_patch_block(undo), undo);
       staged.touch_component(bu);
       staged.touch_component(bv);
       if (count) ++report.patched_bridges;
@@ -282,9 +308,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
       const BiconnPatchView view(*state_, staged);
       const std::uint64_t blk = view.common_frozen_block(e.u, e.v);
       if (blk != 0) {
-        staged.add_patch_edge(e.u, e.v, blk);
-        staged.append_event(e);
-        staged_paths.emplace_back();
+        staged.add_patch_edge(e.u, e.v, blk, undo);
         staged.touch_component(bu);
         if (count) ++report.absorbed_edges;
         return true;
@@ -292,7 +316,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
       // Defensive: no common frozen block surfaced — treat as a merge.
     }
     // (c) cycle-closing block merge.
-    return plan_cycle_merge(e, staged, staged_paths, report, count, hint);
+    return plan_cycle_merge(e, staged, undo, path, report, count, hint);
   }
 
   /// Case (c): endpoints already connected in the patched view but not in
@@ -300,11 +324,12 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   /// frozen-minus-masks plus patch edges — or a still-valid memoized path
   /// when replaying); inserting (u, v) merges exactly the blocks along it,
   /// so unite their classes, demote swallowed bridges, and register the
-  /// path's 2ec anchor groups.
+  /// path's 2ec anchor groups. The path lands in `path`.
   bool plan_cycle_merge(const graph::Edge& e, BiconnPatch& staged,
-                        MergePaths& staged_paths, BiconnUpdateReport& report,
-                        bool count,
-                        const std::vector<graph::vertex_id>* hint = nullptr) {
+                        PatchUndoLog& undo,
+                        std::vector<graph::vertex_id>& path,
+                        BiconnUpdateReport& report, bool count,
+                        const std::vector<graph::vertex_id>* hint) {
     if (opt_.merge_search_limit == 0) {
       report.rebuild_reason = RebuildReason::kCrossBlock;
       return false;
@@ -323,9 +348,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     // bridge is demoted and the endpoints' 2ec anchors united.
     if (const std::uint64_t shared = common_patched_class(e, staged, view);
         shared != 0 && view.two_edge_connected(e.u, e.v)) {
-      staged.add_patch_edge(e.u, e.v, shared);
-      staged.append_event(e);
-      staged_paths.emplace_back();
+      staged.add_patch_edge(e.u, e.v, shared, undo);
       staged.touch_component(oracle.component_of(e.u));
       staged.touch_component(oracle.component_of(e.v));
       if (count) ++report.absorbed_edges;
@@ -336,7 +359,6 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     // justifies uniting its blocks no matter which journal events were
     // dropped since. Validation is O(path) presence probes; only a stale
     // memo (an edge on it was deleted) pays a fresh search.
-    std::vector<graph::vertex_id> path;
     if (hint != nullptr && path_still_present(*hint, e, staged)) {
       path = *hint;
     } else {
@@ -367,31 +389,32 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
       if (cls == 0) {
         cls = c;
       } else if (cls != c) {
-        cls = staged.unite_blocks(cls, c);
+        cls = staged.unite_blocks(cls, c, undo);
         ++unions;
       }
       // Bridges swallowed by the merge stop being bridges.
       if (!staged.is_demoted_bridge(k) &&
-          (staged.is_patched_bridge(x, y) || oracle.is_bridge(x, y))) {
-        staged.demote_bridge(k);
+          (staged.is_patched_bridge(x, y) || frozen_bridge(x, y))) {
+        staged.demote_bridge(k, undo);
       }
     }
-    staged.add_patch_edge(e.u, e.v, cls);
-    staged.append_event(e);
+    staged.add_patch_edge(e.u, e.v, cls, undo);
     // The new cycle makes every path vertex 2-edge-connected with every
     // other: unite their 2ec anchor groups (one keyed probe per vertex via
     // the memoized canonical class), and flip their components to
     // class-recomputed articulation/biconnected answers.
     graph::vertex_id prev = graph::kNoVertex;
     for (const graph::vertex_id x : path) {
-      staged.note_merged_component(oracle.component_of(x));
-      const graph::vertex_id a = staged.anchor_for(frozen_tec_class(x), x);
-      if (prev != graph::kNoVertex && prev != a) staged.tec_unite(prev, a);
+      staged.note_merged_component(oracle.component_of(x), undo);
+      const graph::vertex_id a =
+          staged.anchor_for(frozen_tec_class(x), x, undo);
+      if (prev != graph::kNoVertex && prev != a) {
+        staged.tec_unite(prev, a, undo);
+      }
       prev = a;
     }
     staged.touch_component(oracle.component_of(e.u));
     staged.touch_component(oracle.component_of(e.v));
-    staged_paths.push_back(std::move(path));
     if (count) {
       ++report.absorbed_edges;
       report.merged_blocks += unions;
@@ -400,10 +423,11 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
   }
 
   /// Planner-side memo of the frozen oracle's per-edge block key (0 =
-  /// none). Pure function of state_->oracle, so entries stay valid until a
-  /// rebuild installs a new oracle version (after_publish clears it);
-  /// journal replays re-resolve the same frozen edges every mixed batch,
-  /// which this turns into hash probes. Writer-serialized like the planner.
+  /// none). Pure function of state_->oracle, so entries live as long as the
+  /// oracle version: after_publish clears them only when a commit installs
+  /// a new state_. Re-planned events re-resolve the same frozen edges
+  /// batch after batch, which this turns into hash probes.
+  /// Writer-serialized like the planner.
   [[nodiscard]] std::uint64_t frozen_edge_block(graph::vertex_id x,
                                                graph::vertex_id y) {
     const std::uint64_t k = edge_key(x, y);
@@ -417,13 +441,22 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
 
   /// Same discipline for the oracle's canonical 2ec class of a vertex —
   /// the anchor loop's key. One oracle computation per distinct vertex per
-  /// oracle version instead of per journal replay.
+  /// oracle version instead of per re-planned event.
   [[nodiscard]] std::uint64_t frozen_tec_class(graph::vertex_id x) {
     const auto it = tec_class_memo_.find(x);
     if (it != tec_class_memo_.end()) return it->second;
     const std::uint64_t c = state_->oracle.two_edge_class(x);
     tec_class_memo_.emplace(x, c);
     return c;
+  }
+
+  /// Is the frozen edge (x, y) a bridge? A present edge is one exactly when
+  /// its endpoints are not 2-edge-connected, so the memoized 2ec classes
+  /// answer without the cluster local view oracle.is_bridge materializes
+  /// (parallel copies make both sides say no; an absent edge is no bridge).
+  [[nodiscard]] bool frozen_bridge(graph::vertex_id x, graph::vertex_id y) {
+    return state_->graph->multiplicity(x, y) > 0 &&
+           frozen_tec_class(x) != frozen_tec_class(y);
   }
 
   /// Raw block key of edge (x, y) in the staged patched view: the class a
@@ -483,15 +516,23 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     return true;
   }
 
-  /// Deletion triage + journal replay: stage a *fresh* patch expressing
+  /// Deletion triage + journal rewind: stage the next patch expressing
   /// (old patch + batch). Deletions of patch-inserted copies cancel against
-  /// the journal; each frozen-edge deletion must pass the 2-connectivity
-  /// certificate and becomes a mask. The surviving journal replays through
-  /// plan_insert_edge (uncounted), then the batch's insertions plan
-  /// normally. Returns false with report.rebuild_reason set on any refusal.
-  bool plan_fast_mixed(const UpdateBatch& batch, BiconnPatch& staged,
-                       MergePaths& staged_paths,
-                       BiconnUpdateReport& report) {
+  /// the journal, earliest copy of a key first; each frozen-edge deletion
+  /// must pass the 2-connectivity certificate and becomes a mask. A copy of
+  /// the patch rewinds to the first event the batch cancels — or to the
+  /// journal's start when it adds a mask — the surviving events after that
+  /// point re-plan through plan_insert_edge (uncounted), and then the
+  /// batch's insertions plan normally. nullopt with report.rebuild_reason
+  /// set on any refusal.
+  ///
+  /// Why the events before the rewind point stand as they are: each was
+  /// last planned under the current mask set (masks only grow, and a batch
+  /// that adds one re-plans the whole journal) and the same earlier events,
+  /// so re-planning them — a deterministic function of those inputs and
+  /// the memoized paths — would reproduce exactly the state they left.
+  std::optional<FastPlan> plan_fast_mixed(const UpdateBatch& batch,
+                                          BiconnUpdateReport& report) {
     const auto& oracle = state_->oracle;
     // 1. Classify deletions: per edge key, up to the journal's copy count
     // cancels in the patch; the overflow must delete frozen copies.
@@ -506,29 +547,41 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
         frozen_dels.push_back(e);
       }
     }
-    // 2. Carry the permanently-valid prior masks and breadcrumbs, then
-    // certify each new frozen deletion sequentially (each certificate runs
-    // against frozen minus the masks before it).
-    staged.carry_masks_from(patch_);
-    staged.carry_touched_from(patch_);
+    // 2. The rewind point, and the admission bound on the work after it.
+    const auto& events = patch_.events();
+    const std::size_t start =
+        frozen_dels.empty() ? first_cancelled_event(drop) : 0;
+    if (events.size() - start + batch.size() > opt_.replay_event_limit) {
+      report.rebuild_reason = RebuildReason::kDeletionOverflow;
+      return std::nullopt;
+    }
+    FastPlan plan{patch_, memo_};
+    BiconnPatch& staged = plan.patch;
+    PlannerMemo& memo = plan.memo;
+    staged.rewind(memo.undo,
+                  start < events.size() ? memo_.events[start].undo_mark
+                                        : memo_.undo.size(),
+                  start);
+    memo.events.resize(start);
+    // 3. Certify each new frozen deletion sequentially (each certificate
+    // runs against frozen minus the masks before it).
     for (const graph::Edge& e : frozen_dels) {
       if (e.u != e.v && !certify_frozen_deletion(e, staged)) {
         report.rebuild_reason = RebuildReason::kTriageFailed;
-        return false;
+        return std::nullopt;
       }
       staged.add_mask(edge_key(e.u, e.v));
       staged.touch_component(oracle.component_of(e.u));
       staged.touch_component(oracle.component_of(e.v));
       ++report.absorbed_deletions;
     }
-    // 3. Replay the surviving journal into the fresh patch. Cancelled
+    // 4. Re-plan the surviving events after the rewind point. Cancelled
     // insert+delete pairs leave the component subgraph bit-identical, but
     // both edges churned it — keep the breadcrumbs. Each surviving event
     // hands the planner the path its merge followed last time, so an
     // unaffected cycle merge re-validates in O(path) instead of
     // re-searching.
-    const auto& events = patch_.events();
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t i = start; i < events.size(); ++i) {
       const graph::Edge& ev = events[i];
       const auto it = drop.find(edge_key(ev.u, ev.v));
       if (it != drop.end() && it->second > 0) {
@@ -538,17 +591,39 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
         ++report.absorbed_deletions;
         continue;
       }
+      const auto& path = memo_.events[i].path;
       const std::vector<graph::vertex_id>* hint =
-          i < memo_.size() && !memo_[i].empty() ? &memo_[i]
-              : nullptr;
-      if (!plan_insert_edge(ev, staged, staged_paths, report,
-                            /*count=*/false, hint)) {
+          path.empty() ? nullptr : &path;
+      if (!plan_insert_edge(ev, staged, memo, report, /*count=*/false,
+                            hint)) {
         report.rebuild_reason = RebuildReason::kTriageFailed;
-        return false;
+        return std::nullopt;
       }
     }
-    // 4. The batch's own insertions.
-    return plan_insertions(batch.insertions, staged, staged_paths, report);
+    // 5. The batch's own insertions.
+    if (!plan_insertions(batch.insertions, staged, memo, report)) {
+      return std::nullopt;
+    }
+    return plan;
+  }
+
+  /// Index of the first journal event the replay cancels: the earliest
+  /// copy of any key in `drop` (every copy of a key is one journal event).
+  /// Scans back from the newest event, so it costs O(events after it).
+  [[nodiscard]] std::size_t first_cancelled_event(
+      const std::unordered_map<std::uint64_t, std::uint32_t>& drop) const {
+    std::unordered_map<std::uint64_t, std::uint32_t> unseen;  // copies left
+    for (const auto& [k, d] : drop) {
+      if (d > 0) unseen.emplace(k, patch_.edge_copies(k));
+    }
+    const auto& events = patch_.events();
+    std::size_t i = events.size();
+    while (!unseen.empty() && i > 0) {
+      --i;
+      const auto it = unseen.find(edge_key(events[i].u, events[i].v));
+      if (it != unseen.end() && --it->second == 0) unseen.erase(it);
+    }
+    return i;
   }
 
   /// The deletion certificate: after masking one more copy of (u, v), do
@@ -635,7 +710,7 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     report.rebuild_threads = stats.threads;
     report.rebuild_shards = stats.shards;
     return Staged{base_, std::move(staged), std::move(state), BiconnPatch{},
-                  MergePaths{}};
+                  PlannerMemo{}};
   }
 
   /// Full build with the all-primary normalization invariant: run
@@ -665,17 +740,19 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
     auto state = std::make_shared<VersionedBiconnOracle>(std::move(frozen),
                                                          std::move(oracle));
     return Staged{std::move(base), std::move(working), std::move(state),
-                  BiconnPatch{}, MergePaths{}};
+                  BiconnPatch{}, PlannerMemo{}};
   }
 
-  /// Commit-time accounting (writer lock, noexcept). Every commit but the
-  /// in-place fast insert drops the frozen-oracle planner memos: a rebuild
-  /// installs a new oracle version, and the fast mixed path clears them
-  /// too. Absorb-rate counters count apply() batches only.
+  /// Commit-time accounting (writer lock, noexcept). The frozen-oracle
+  /// planner memos live exactly as long as the oracle version they
+  /// describe: a commit that installed a new state_ (a rebuild or a
+  /// compaction) drops them, and both fast paths keep them. Absorb-rate
+  /// counters count apply() batches only.
   void after_publish(BiconnUpdateReport& report, bool batch) noexcept {
-    if (report.path != Path::kFastInsert) {
+    if (memo_version_ != state_) {
       edge_block_memo_.clear();
       tec_class_memo_.clear();
+      memo_version_ = state_;
     }
     if (batch) {
       ++applied_batches_;
@@ -692,9 +769,11 @@ class DynamicBiconnectivity final : public FacadeCore<BiconnectivityPolicy> {
             : double(absorbed_batches_) / double(applied_batches_);
   }
 
-  /// Frozen-oracle planner memos (see frozen_edge_block / frozen_tec_class).
+  /// Frozen-oracle planner memos (see frozen_edge_block / frozen_tec_class)
+  /// and the oracle version they describe.
   std::unordered_map<std::uint64_t, std::uint64_t> edge_block_memo_;
   std::unordered_map<graph::vertex_id, std::uint64_t> tec_class_memo_;
+  std::shared_ptr<const VersionedBiconnOracle> memo_version_;
   std::uint64_t applied_batches_ = 0;
   std::uint64_t absorbed_batches_ = 0;
 };

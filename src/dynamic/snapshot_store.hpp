@@ -54,12 +54,15 @@ class LabelPatch {
   /// `is_center(label)` decides — so that after merges involving real
   /// clusters the class is still named by a center, which is what a
   /// selective rebuild folds back into center-index labels. Ties break to
-  /// the minimum id. One counted write.
+  /// the minimum id. One counted write. Returns the label now linked under
+  /// the winner (kNoVertex when a and b were already one class) — the
+  /// label unlink() takes to undo the merge.
   template <typename IsCenter>
-  void unite(graph::vertex_id a, graph::vertex_id b, IsCenter&& is_center) {
+  graph::vertex_id unite(graph::vertex_id a, graph::vertex_id b,
+                         IsCenter&& is_center) {
     a = find(a);
     b = find(b);
-    if (a == b) return;
+    if (a == b) return graph::kNoVertex;
     const bool ca = is_center(a), cb = is_center(b);
     graph::vertex_id winner;
     if (ca != cb) {
@@ -70,7 +73,12 @@ class LabelPatch {
     const graph::vertex_id loser = (winner == a) ? b : a;
     parent_.emplace(loser, winner);
     amem::count_write();
+    return loser;
   }
+
+  /// Undo the unite() that linked `loser`; exact when undos run newest
+  /// first (no path compression, so no later operation rewrites the link).
+  void unlink(graph::vertex_id loser) { parent_.erase(loser); }
 
   [[nodiscard]] bool empty() const noexcept { return parent_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return parent_.size(); }

@@ -169,6 +169,62 @@ TEST(BiconnOracle, PercolationStress) {
   }
 }
 
+// A present edge is a bridge exactly when its endpoints are not
+// 2-edge-connected: the dynamic planner reads frozen bridges off the 2ec
+// class keys on this strength (parallel copies make both sides "no"). The
+// families cover the cases where the two queries take different code
+// paths: virtual components (subcritical percolation at k = 16), parallel
+// edges, cactus chains, and barbells with a single and a doubled bridge.
+void check_bridge_iff_tec_classes_differ(const Graph& g, const Oracle& o,
+                                         const std::string& tag) {
+  for (const auto& e : g.edge_list()) {
+    if (e.u == e.v) continue;
+    ASSERT_EQ(o.is_bridge(e.u, e.v),
+              o.two_edge_class(e.u) != o.two_edge_class(e.v))
+        << tag << " edge " << e.u << "-" << e.v;
+  }
+}
+
+TEST(BiconnOracle, BridgeIffTwoEdgeClassesDiffer) {
+  for (const std::uint64_t seed : {3u, 8u}) {
+    for (const double p : {0.45, 0.6}) {
+      const Graph g = graph::gen::percolation_grid(48, 48, p, seed);
+      check_bridge_iff_tec_classes_differ(
+          g, Oracle::build(g, opts(16, seed)),
+          "perc p=" + std::to_string(p) + " seed=" + std::to_string(seed));
+    }
+  }
+  // Parallel copies of some edges, bridges included.
+  parallel::Rng rng(41);
+  graph::EdgeList edges = graph::gen::random_tree(60, 5).edge_list();
+  const graph::EdgeList cyc = graph::gen::random_regular_ish(60, 3, 9)
+                                  .edge_list();
+  edges.insert(edges.end(), cyc.begin(), cyc.begin() + 20);
+  for (std::size_t i = 0; i < 15; ++i) {
+    edges.push_back(edges[rng.next_int(edges.size())]);
+  }
+  const Graph multi = Graph::from_edges(60, edges);
+  for (const std::size_t k : {3u, 16u}) {
+    check_bridge_iff_tec_classes_differ(
+        multi, Oracle::build(multi, opts(k, 4)),
+        "parallel k=" + std::to_string(k));
+  }
+  const Graph cactus = graph::gen::cactus_chain(9, 5);
+  graph::EdgeList doubled = graph::gen::barbell(7).edge_list();
+  doubled.push_back({6, 7});  // a second copy of the bridge
+  const Graph barbells[] = {graph::gen::barbell(7),
+                            Graph::from_edges(14, doubled)};
+  for (const std::size_t k : {3u, 16u}) {
+    const std::string ks = " k=" + std::to_string(k);
+    check_bridge_iff_tec_classes_differ(cactus, Oracle::build(cactus, opts(k)),
+                                        "cactus" + ks);
+    for (const Graph& b : barbells) {
+      check_bridge_iff_tec_classes_differ(b, Oracle::build(b, opts(k)),
+                                          "barbell" + ks);
+    }
+  }
+}
+
 // ---- Theorem 5.3 cost checks ----
 
 TEST(BiconnOracleCosts, ConstructionWritesSublinear) {

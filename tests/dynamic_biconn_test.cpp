@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,17 +58,13 @@ void apply_to_model(EdgeSetModel& model, const UpdateBatch& b) {
 struct Truth {
   primitives::LocalGraph lg{0};
   primitives::BiconnResult bc;
-  std::vector<std::vector<std::uint32_t>> pair_edges;  // flattened n*n
+  /// Edge ids of every instance of a non-self pair, keyed by edge_key.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> pair_edges;
 
   explicit Truth(const Graph& g) : lg(g.num_vertices()) {
-    const std::size_t n = g.num_vertices();
-    pair_edges.resize(n * n);
     for (const Edge& e : g.edge_list()) {
       const auto id = lg.add_edge(e.u, e.v);
-      if (e.u != e.v) {
-        pair_edges[std::size_t(e.u) * n + e.v].push_back(id);
-        pair_edges[std::size_t(e.v) * n + e.u].push_back(id);
-      }
+      if (e.u != e.v) pair_edges[dynamic::edge_key(e.u, e.v)].push_back(id);
     }
     bc = primitives::biconnectivity(lg);
   }
@@ -89,7 +86,9 @@ struct Truth {
   /// doubled-edge rule).
   [[nodiscard]] bool is_bridge(vertex_id u, vertex_id v) const {
     if (u == v) return false;
-    for (const auto e : pair_edges[std::size_t(u) * lg.num_vertices() + v]) {
+    const auto it = pair_edges.find(dynamic::edge_key(u, v));
+    if (it == pair_edges.end()) return false;
+    for (const auto e : it->second) {
       if (bc.is_bridge[e]) return true;
     }
     return false;
@@ -132,7 +131,6 @@ void expect_block_partition_matches(const DynamicBiconnectivity& dbc,
   const Graph g = model.materialize();
   const Truth truth(g);
   const auto snap = dbc.snapshot();
-  const std::size_t n = g.num_vertices();
   std::map<std::uint64_t, std::uint32_t> snap_to_truth;
   std::map<std::uint32_t, std::uint64_t> truth_to_snap;
   for (const auto& [pair, count] : model.edges()) {
@@ -145,7 +143,7 @@ void expect_block_partition_matches(const DynamicBiconnectivity& dbc,
     ASSERT_NE(id, 0u)
         << "epoch " << snap->epoch() << " edge " << u << "," << v;
     const std::uint32_t tid =
-        truth.bc.edge_bcc[truth.pair_edges[std::size_t(u) * n + v].front()];
+        truth.bc.edge_bcc[truth.pair_edges.at(dynamic::edge_key(u, v)).front()];
     const auto [fwd, fwd_fresh] = snap_to_truth.emplace(id, tid);
     EXPECT_EQ(fwd->second, tid)
         << "epoch " << snap->epoch() << " edge " << u << "," << v
@@ -155,6 +153,52 @@ void expect_block_partition_matches(const DynamicBiconnectivity& dbc,
         << "epoch " << snap->epoch() << " edge " << u << "," << v
         << ": truth block " << tid << " split across snapshot blocks";
   }
+}
+
+/// The whole query surface of the current snapshot against Hopcroft–Tarjan
+/// in O(n + m) queries, for graphs too large for expect_matches_truth's
+/// all-pairs sweep: every vertex's articulation bit and component (as a
+/// partition of the vertices), bridge / biconnected / 2ec for every present
+/// pair, biconnected / 2ec between consecutive members of each component
+/// (mostly non-adjacent pairs), and the edge_block_id partition.
+void expect_surface_matches(const DynamicBiconnectivity& dbc,
+                            const EdgeSetModel& model) {
+  const Graph g = model.materialize();
+  const Truth truth(g);
+  const auto snap = dbc.snapshot();
+  const auto n = vertex_id(g.num_vertices());
+  std::unordered_map<std::uint32_t, vertex_id> label_of;  // truth -> snap
+  std::unordered_map<vertex_id, std::uint32_t> truth_of;  // snap -> truth
+  std::unordered_map<std::uint32_t, vertex_id> last_member;
+  for (vertex_id v = 0; v < n; ++v) {
+    ASSERT_EQ(snap->is_articulation(v), truth.is_articulation(v))
+        << "epoch " << snap->epoch() << " artic " << v;
+    const std::uint32_t t = truth.bc.cc_label[v];
+    const vertex_id c = snap->component_of(v);
+    ASSERT_EQ(label_of.emplace(t, c).first->second, c)
+        << "epoch " << snap->epoch() << " component of " << v << " split";
+    ASSERT_EQ(truth_of.emplace(c, t).first->second, t)
+        << "epoch " << snap->epoch() << " component of " << v << " merged";
+    const auto [prev, first] = last_member.emplace(t, v);
+    if (first) continue;
+    const vertex_id u = prev->second;
+    prev->second = v;
+    ASSERT_EQ(snap->biconnected(u, v), truth.biconnected(u, v))
+        << "epoch " << snap->epoch() << " biconnected " << u << "," << v;
+    ASSERT_EQ(snap->two_edge_connected(u, v), truth.two_edge_connected(u, v))
+        << "epoch " << snap->epoch() << " 2ec " << u << "," << v;
+  }
+  for (const auto& [pair, count] : model.edges()) {
+    const auto [u, v] = pair;
+    if (u == v) continue;
+    ASSERT_EQ(snap->is_bridge(u, v), truth.is_bridge(u, v))
+        << "epoch " << snap->epoch() << " bridge " << u << "," << v;
+    ASSERT_EQ(snap->biconnected(u, v), truth.biconnected(u, v))
+        << "epoch " << snap->epoch() << " biconnected " << u << "," << v;
+    ASSERT_EQ(snap->two_edge_connected(u, v), truth.two_edge_connected(u, v))
+        << "epoch " << snap->epoch() << " 2ec " << u << "," << v;
+  }
+  expect_block_partition_matches(dbc, model);
 }
 
 TEST(DynamicBiconn, FastPathAbsorbsIntraBlockInserts) {
@@ -488,6 +532,188 @@ TEST(DynamicBiconn, DenseChurnStressStaysAbsorbedAndExact) {
   // Dense churn is the absorbable regime: the cumulative absorb rate must
   // clear the same bar the perf gate holds the bench rows to.
   EXPECT_GE(last_rate, 0.9);
+}
+
+/// Dense LIFO churn over a side×side subcritical percolation grid, the
+/// shape of the benchmark's churn-dense workload. An insert-only batch of
+/// 48 random edges opens the stream; every later batch inserts 48 more and
+/// deletes 16 of the stream's own earlier insertions, taken `reach`
+/// insertions below the top of the stack (0 = strict LIFO). Every
+/// `frozen_every`-th batch (0 = never) also deletes one copy of a base edge
+/// the grid carries in triplicate: two parallel copies survive, so the
+/// certificate passes and the new mask rewinds the journal to its start.
+/// Every `check_every`-th epoch and the last have their full query surface
+/// checked against Hopcroft–Tarjan (about 1.4 s per check at 120×120).
+/// Returns the reports of the batches after the opening one.
+struct LifoChurn {
+  std::size_t side = 120;
+  std::size_t k = 16;
+  std::size_t batches = 0;
+  std::size_t reach = 0;
+  std::size_t frozen_every = 0;
+  std::size_t check_every = 1;
+};
+
+std::vector<BiconnUpdateReport> run_lifo_churn(const LifoChurn& shape) {
+  const Graph grid =
+      graph::gen::percolation_grid(shape.side, shape.side, 0.45, 23);
+  const std::size_t n = grid.num_vertices();
+  EdgeList edges = grid.edge_list();
+  EdgeList spares;  // base edges carried in triplicate
+  for (std::size_t i = 0; i < grid.num_edges() && shape.frozen_every != 0;
+       i += 97) {
+    spares.push_back(edges[i]);
+    edges.push_back(edges[i]);
+    edges.push_back(edges[i]);
+  }
+  const Graph g = Graph::from_edges(n, edges);
+  EdgeSetModel model(n, g.edge_list());
+  DynamicBiconnectivity dbc(g, opts(shape.k));
+
+  std::uint64_t rs = 77;
+  const auto fresh_edges = [&](UpdateBatch& batch) {
+    for (int i = 0; i < 48; ++i) {
+      rs = parallel::mix64(rs + 1);
+      const auto u = vertex_id(rs % n);
+      rs = parallel::mix64(rs);
+      batch.insertions.push_back({u, vertex_id(rs % n)});
+    }
+  };
+  std::vector<Edge> stack;
+  std::vector<BiconnUpdateReport> reports;
+  for (std::size_t b = 0; b <= shape.batches; ++b) {
+    UpdateBatch batch;
+    if (b > 0) {
+      const std::size_t top =
+          stack.size() > shape.reach ? stack.size() - shape.reach : 0;
+      std::size_t i = top > 16 ? top - 16 : 0;
+      while (i < stack.size() && batch.deletions.size() < 16) {
+        const Edge e = stack[i];
+        bool dup = false;  // a batch deletes each pair at most once
+        for (const Edge& d : batch.deletions) {
+          dup |= std::minmax(d.u, d.v) == std::minmax(e.u, e.v);
+        }
+        if (dup) {
+          ++i;
+          continue;
+        }
+        batch.deletions.push_back(e);
+        stack.erase(stack.begin() + std::ptrdiff_t(i));
+      }
+      if (shape.frozen_every != 0 && b % shape.frozen_every == 0) {
+        batch.deletions.push_back(spares.at(b / shape.frozen_every));
+      }
+    }
+    fresh_edges(batch);
+    const BiconnUpdateReport r = dbc.apply(batch);
+    apply_to_model(model, batch);
+    for (const Edge& e : batch.insertions) stack.push_back(e);
+    if (b % shape.check_every == 0 || b == shape.batches) {
+      expect_surface_matches(dbc, model);
+      if (::testing::Test::HasFatalFailure()) return reports;
+    }
+    if (b == 0) {
+      EXPECT_EQ(r.path, Path::kFastInsert);
+    } else {
+      reports.push_back(r);
+    }
+  }
+  return reports;
+}
+
+double mean_writes(const std::vector<BiconnUpdateReport>& reports,
+                   std::size_t begin, std::size_t end) {
+  double sum = 0;
+  for (std::size_t i = begin; i < end; ++i) sum += double(reports[i].writes);
+  return sum / double(end - begin);
+}
+
+TEST(DynamicBiconn, LifoChurnCostStaysFlat) {
+  // Per-batch cost must not grow with history: each batch rewinds the
+  // journal only to its first cancelled event, so the work tracks the
+  // batch, not the journal. Writes, not reads: counted reads of a rebuild
+  // drift at more than one thread, writes are exact.
+  const auto reports = run_lifo_churn({.batches = 150, .check_every = 150});
+  ASSERT_EQ(reports.size(), 150u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].path, Path::kFastMixed) << "batch " << i + 1;
+    EXPECT_EQ(reports[i].absorbed_deletions, 16u) << "batch " << i + 1;
+  }
+  // Batches 6–20 against the last 15 (1-based, the opening batch aside).
+  EXPECT_LE(mean_writes(reports, 135, 150), 2 * mean_writes(reports, 5, 20));
+}
+
+TEST(DynamicBiconn, DeepLifoChurnRewindsExactly) {
+  // Deletions reach back two to three batches, so each rewind undoes and
+  // re-plans the events of several batches. Every epoch is checked, on a
+  // smaller grid to keep the checks affordable.
+  const auto reports =
+      run_lifo_churn({.side = 40, .k = 8, .batches = 16, .reach = 96});
+  ASSERT_EQ(reports.size(), 16u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].path, Path::kFastMixed) << "batch " << i + 1;
+    EXPECT_EQ(reports[i].absorbed_deletions, 16u) << "batch " << i + 1;
+  }
+}
+
+TEST(DynamicBiconn, FrozenDeletionRewindsToJournalStart) {
+  // Every fourth batch masks a frozen edge, which re-plans the whole journal
+  // under the new mask; the batches between rewind only their tail. Every
+  // epoch is checked, on a smaller grid to keep the checks affordable.
+  const auto reports = run_lifo_churn(
+      {.side = 40, .k = 8, .batches = 16, .frozen_every = 4});
+  ASSERT_EQ(reports.size(), 16u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const std::size_t b = i + 1;
+    EXPECT_EQ(reports[i].path, Path::kFastMixed) << "batch " << b;
+    EXPECT_EQ(reports[i].absorbed_deletions, b % 4 == 0 ? 17u : 16u)
+        << "batch " << b;
+  }
+}
+
+TEST(DynamicBiconn, ReplayEventLimitBoundsRewoundWork) {
+  // The limit caps the events a batch re-plans, not the journal: LIFO
+  // churn whose journal outgrows it stays absorbed, while a batch that
+  // cancels an event deeper than the limit overflows to a rebuild.
+  const Graph g = graph::gen::percolation_grid(30, 30, 0.45, 5);
+  const std::size_t n = g.num_vertices();
+  EdgeSetModel model(n, g.edge_list());
+  DynamicBiconnOptions o = opts(8);
+  o.replay_event_limit = 100;
+  DynamicBiconnectivity dbc(g, o);
+
+  std::uint64_t rs = 31;
+  std::vector<Edge> stack;
+  for (int b = 0; b < 30; ++b) {
+    UpdateBatch batch;
+    for (int i = 0; i < 4 && b > 0; ++i) {
+      batch.deletions.push_back(stack.back());
+      stack.pop_back();
+    }
+    for (int i = 0; i < 12; ++i) {
+      rs = parallel::mix64(rs + 1);
+      const auto u = vertex_id(rs % n);
+      rs = parallel::mix64(rs);
+      const auto v = vertex_id(rs % n);
+      if (u == v) continue;
+      batch.insertions.push_back({u, v});
+    }
+    const BiconnUpdateReport r = dbc.apply(batch);
+    EXPECT_EQ(r.path, b == 0 ? Path::kFastInsert : Path::kFastMixed)
+        << "batch " << b;
+    apply_to_model(model, batch);
+    for (const Edge& e : batch.insertions) stack.push_back(e);
+  }
+  EXPECT_GT(dbc.snapshot()->patch().events().size(), o.replay_event_limit);
+  expect_surface_matches(dbc, model);
+
+  // The stream's oldest insertion is the journal's first event.
+  const UpdateBatch deep = UpdateBatch::deleting({stack.front()});
+  const BiconnUpdateReport r = dbc.apply(deep);
+  EXPECT_EQ(r.path, Path::kSelectiveRebuild);
+  EXPECT_EQ(r.rebuild_reason, dynamic::RebuildReason::kDeletionOverflow);
+  apply_to_model(model, deep);
+  expect_surface_matches(dbc, model);
 }
 
 TEST(DynamicBiconn, SnapshotIsolationAcrossEpochs) {
